@@ -23,6 +23,10 @@
 #      checked against the model contract end to end
 #   8. rustdoc across the workspace with warnings denied (broken
 #      intra-doc links are errors)
+#   9. the benchmark's own tests (perfbench/, a separate workspace that
+#      builds against the public API of crn-sim, crn-core and
+#      crn-bench), so an API change that breaks the benchmark fails
+#      here rather than when the benchmark is next run
 #
 # Everything is offline: external dependencies resolve to the stubs
 # under vendor/ (see Cargo.toml [workspace.dependencies]).
@@ -58,5 +62,8 @@ cargo run --release -q -p crn-bench --features validate --bin experiments -- all
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+echo "==> cargo test --release (perfbench, the benchmark's own tests)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "ci.sh: all green"

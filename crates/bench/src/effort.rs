@@ -66,11 +66,14 @@ impl Effort {
 /// seed order.
 ///
 /// The pool defaults to one worker per core and is governed by the
-/// `CRN_THREADS` env override / `--threads` flag. Because the engine's
-/// intra-slot parallelism draws from the *same* pool, nested use
-/// (parallel trials × parallel slots) shares one core budget: a trial
-/// body that tries to fan out from inside a pool worker simply runs
-/// inline instead of oversubscribing.
+/// `CRN_THREADS` env override / `--threads` flag. Trials are the only
+/// parallelism the experiments use: the protocol runners step each
+/// network sequentially, and the engine's intra-slot fan-out is opt-in
+/// through `Network::set_parallelism`, because it has not beaten
+/// sequential stepping on any workload measured so far (DESIGN.md
+/// "Threading model"). A trial body that does opt in draws from the
+/// *same* pool, so nested use shares one core budget: a fan-out from
+/// inside a pool worker simply runs inline instead of oversubscribing.
 ///
 /// # Panics
 ///

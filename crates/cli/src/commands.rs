@@ -581,7 +581,7 @@ COMMANDS
               --n 32 --c 8 --k 2 --rounds 5 --op max
 
 GLOBAL FLAGS
-  --threads N   worker-pool width for parallel phases (every command).
+  --threads N   worker-pool width for parallel trials (every command).
                 Overrides the CRN_THREADS env var; defaults to the
                 machine's available cores. Strictly validated: 0, junk
                 or out-of-range values are errors, never defaults.

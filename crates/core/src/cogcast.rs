@@ -359,9 +359,6 @@ where
     protos.push(CogCast::source(()));
     protos.extend((1..n).map(|_| CogCast::node()));
     let mut net = crn_sim::Network::with_medium(model, protos, seed, medium)?;
-    // Large networks fan decide/observe across the shared pool;
-    // digest-identical at any worker count, so always safe to enable.
-    net.set_parallelism(crn_sim::ParConfig::auto());
 
     let mut informed_per_slot = Vec::new();
     let mut slots = None;

@@ -182,9 +182,6 @@ where
     protos.extend(values.map(|v| CogComp::node(cfg, v)));
 
     let mut net = Network::with_medium(model, protos, seed, medium)?;
-    // Digest-identical at any worker count; engages only above the
-    // small-n threshold.
-    net.set_parallelism(crn_sim::ParConfig::auto());
     let outcome = net.run_to_completion(budget);
     let slots = outcome.slots();
     let (protos, medium) = net.into_parts();
@@ -294,7 +291,6 @@ pub fn run_repeated_aggregation<CM: ChannelModel + Sync, V: Aggregate>(
     protos.extend(per_node.map(|vs| CogComp::node_with_values(cfg, vs)));
 
     let mut net = Network::new(model, protos, seed)?;
-    net.set_parallelism(crn_sim::ParConfig::auto());
     let outcome = net.run_to_completion(cfg.recommended_budget());
     let slots = outcome.slots();
     let protos = net.into_protocols();

@@ -154,9 +154,6 @@ where
     protos.push(HopTogether::source((), total));
     protos.extend((1..n).map(|_| HopTogether::node(total)));
     let mut net = Network::with_medium(model, protos, seed, medium)?;
-    // Digest-identical at any worker count; `all_done` is O(1) here
-    // thanks to the engine's fused doneness tally.
-    net.set_parallelism(crn_sim::ParConfig::auto());
     let slots = net.run(budget, |net| net.all_done()).slots();
     Ok((HopTogetherRun { slots, budget }, net.into_medium()))
 }

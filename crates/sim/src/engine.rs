@@ -40,23 +40,34 @@ use crate::trace::SlotActivity;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Default minimum network size before [`Network::step`] fans its
-/// per-node phases across the worker pool. Below this, per-slot
-/// synchronization (wake + barrier, on the order of microseconds)
-/// costs more than the per-node work it would parallelize; tiny
-/// networks therefore keep the exact sequential path.
+/// Default minimum network size at which an installed [`ParConfig`]
+/// fans [`Network::step`]'s per-node phases across the worker pool.
+/// Below it, per-slot synchronization (wake + barrier, on the order of
+/// microseconds) clearly costs more than the per-node work it would
+/// parallelize. Reaching it does not mean the fan-out pays: on a 2-core
+/// host, 2 workers stepped a 1024-node network in 73 µs per slot
+/// against 65 µs sequentially (`BENCH_engine.json`), and a COGCOMP run
+/// at n = 1024 took a median 1.28 s with the fan-out against 1.03 s
+/// without it (EXPERIMENTS.md §E3).
 pub const DEFAULT_PAR_THRESHOLD: usize = 256;
 
-/// Intra-slot parallelism configuration: which [`WorkerPool`] the
-/// engine fans its per-node decide/observe phases across, and from
-/// what network size ([`DEFAULT_PAR_THRESHOLD`] by default).
+/// Opt-in intra-slot parallelism: which [`WorkerPool`] the engine fans
+/// its per-node decide/observe phases across, and from what network
+/// size ([`DEFAULT_PAR_THRESHOLD`] by default).
+///
+/// Networks step sequentially unless a caller installs one with
+/// [`Network::set_parallelism`] or [`NetworkBuilder::parallelism`]; the
+/// library's runners do not, because the fan-out has not beaten
+/// sequential stepping on any workload measured so far: on a 2-core
+/// host it lost on COGCOMP at n = 1024 and tied on COGCAST at
+/// n = 16384 (DESIGN.md "Threading model"). The conformance suite and
+/// the differential tests opt in.
 ///
 /// Installing one never changes results: every golden-trace digest is
 /// reproduced bit-for-bit at any worker count, because the
 /// parallelized phases are order-free (each node touches only its own
 /// RNG lane and its own index-keyed slots) while winner draws stay
 /// serialized on the ENGINE stream and jamming on the JAMMER stream.
-/// See DESIGN.md "Threading model".
 #[derive(Clone, Debug)]
 pub struct ParConfig {
     pool: Arc<WorkerPool>,
@@ -128,40 +139,154 @@ impl ParConfig {
     }
 }
 
-/// A raw pointer that asserts cross-thread shareability.
-///
-/// Used by the parallel step phases to hand per-node buffer bases to
-/// pool workers without widening [`Network::step`]'s bounds. Soundness
-/// is enforced at install time: the only ways to set `Network::par`
-/// ([`NetworkBuilder::parallelism`], [`Network::set_parallelism`])
-/// require `P: Send`, `M: Send`, `CM: Sync`, and every worker touches
-/// a disjoint index range.
+/// The per-slot facts every node's [`NodeCtx`] shares.
 #[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
+struct SlotFrame {
+    slot: u64,
+    n: usize,
+    k: usize,
+    global_labels: bool,
+}
 
-// SAFETY: see the struct docs — disjoint-range access to buffers whose
-// element types were proven Send/Sync at `ParConfig` install time.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: as above.
-unsafe impl<T> Sync for SendPtr<T> {}
+impl SlotFrame {
+    /// Node `i`'s view of the slot. Channel sets are looked up only
+    /// under global labels, where protocols may see them.
+    fn ctx<'a, CM: ChannelModel>(&self, model: &'a CM, i: usize) -> NodeCtx<'a> {
+        NodeCtx {
+            id: NodeId(i as u32),
+            slot: self.slot,
+            n: self.n,
+            c: model.c_of(i),
+            k: self.k,
+            channels: self.global_labels.then(|| model.channels(i)),
+        }
+    }
+}
 
-impl<T> SendPtr<T> {
-    /// The `i`-th element's address. Accessed through a method so
-    /// closures capture the `SendPtr` wrapper (which is `Sync`), not
-    /// the raw pointer field (which is not).
+/// Phase A over nodes `start..start + actions.len()`: each node decides
+/// its action from its own protocol state and RNG lane.
+///
+/// # Panics
+///
+/// Panics if a protocol selects a local channel `>= c`.
+fn decide_range<M, P: Protocol<M>, CM: ChannelModel>(
+    frame: SlotFrame,
+    model: &CM,
+    start: usize,
+    protocols: &mut [P],
+    rngs: &mut [SimRng],
+    actions: &mut [Action<M>],
+) {
+    for (offset, ((proto, rng), slot_action)) in protocols
+        .iter_mut()
+        .zip(rngs.iter_mut())
+        .zip(actions.iter_mut())
+        .enumerate()
+    {
+        let i = start + offset;
+        let ctx = frame.ctx(model, i);
+        let action = proto.decide(&ctx, rng);
+        if let Some(ch) = action.channel() {
+            assert!(
+                ch.index() < ctx.c,
+                "protocol bug: node {i} chose local channel {ch} but c = {}",
+                ctx.c
+            );
+        }
+        *slot_action = action;
+    }
+}
+
+/// Phase D over nodes `start..start + events.len()`: each non-sleeping
+/// node observes its event. Returns how many of these nodes report
+/// [`Protocol::is_done`] afterwards.
+fn observe_range<M, P: Protocol<M>, CM: ChannelModel>(
+    frame: SlotFrame,
+    model: &CM,
+    start: usize,
+    protocols: &mut [P],
+    events: &mut [Option<Event<M>>],
+) -> usize {
+    let mut done = 0;
+    for (offset, (proto, event)) in protocols.iter_mut().zip(events.iter_mut()).enumerate() {
+        if let Some(event) = event.take() {
+            proto.observe(&frame.ctx(model, start + offset), event);
+        }
+        if proto.is_done() {
+            done += 1;
+        }
+    }
+    done
+}
+
+/// Raw bases of the per-node buffers, handed to pool workers by the
+/// fan-out of [`Network::step`] without widening `step`'s bounds.
+///
+/// Soundness is enforced at install time: the only ways to set
+/// `Network::par` ([`NetworkBuilder::parallelism`],
+/// [`Network::set_parallelism`]) require `P: Send`, `M: Send` and
+/// `CM: Sync`, and every worker touches a disjoint index range.
+struct Lanes<M, P, CM> {
+    model: *const CM,
+    protocols: *mut P,
+    rngs: *mut SimRng,
+    actions: *mut Action<M>,
+    events: *mut Option<Event<M>>,
+}
+
+// SAFETY: workers only read `model`, and `CM: Sync` was proven when the
+// config was installed. `protocols`, `rngs`, `actions` and `events` are
+// reached only through `decide`/`observe`, whose callers give each
+// worker a disjoint index range, so no element is shared; moving their
+// contents across threads needs `P: Send` and `M: Send` (proven at
+// install) and `SimRng: Send`.
+unsafe impl<M, P, CM> Sync for Lanes<M, P, CM> {}
+
+impl<M, P: Protocol<M>, CM: ChannelModel> Lanes<M, P, CM> {
+    /// Takes the buffer bases. Each phase reads only its own buffers,
+    /// which must hold one entry per node when it fans out.
+    fn new(model: &CM, protocols: &mut [P], rngs: &mut [SimRng], scratch: &mut Scratch<M>) -> Self {
+        Lanes {
+            model,
+            protocols: protocols.as_mut_ptr(),
+            rngs: rngs.as_mut_ptr(),
+            actions: scratch.actions.as_mut_ptr(),
+            events: scratch.events.as_mut_ptr(),
+        }
+    }
+
+    /// [`decide_range`] over nodes `start..end`.
     ///
     /// # Safety
     ///
-    /// `i` must be in bounds of the underlying buffer, and the caller
-    /// must hold exclusive access to that element.
-    unsafe fn at(&self, i: usize) -> *mut T {
-        self.0.add(i)
+    /// `start..end` must lie within the node range, no other thread may
+    /// touch those nodes during the call, and the buffers must be live.
+    unsafe fn decide(&self, frame: SlotFrame, start: usize, end: usize) {
+        let len = end - start;
+        decide_range(
+            frame,
+            &*self.model,
+            start,
+            std::slice::from_raw_parts_mut(self.protocols.add(start), len),
+            std::slice::from_raw_parts_mut(self.rngs.add(start), len),
+            std::slice::from_raw_parts_mut(self.actions.add(start), len),
+        );
     }
 
-    /// The base address as a shared read-only pointer (same capture
-    /// rationale as [`SendPtr::at`]).
-    fn as_const(&self) -> *const T {
-        self.0
+    /// [`observe_range`] over nodes `start..end`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Lanes::decide`].
+    unsafe fn observe(&self, frame: SlotFrame, start: usize, end: usize) -> usize {
+        let len = end - start;
+        observe_range(
+            frame,
+            &*self.model,
+            start,
+            std::slice::from_raw_parts_mut(self.protocols.add(start), len),
+            std::slice::from_raw_parts_mut(self.events.add(start), len),
+        )
     }
 }
 
@@ -645,90 +770,47 @@ where
     pub fn step(&mut self) -> &SlotActivity {
         let slot = self.slot;
         let n = self.model.n();
-        let k = self.model.k();
-        let global_labels = self.model.labels_are_global();
+        let frame = SlotFrame {
+            slot,
+            n,
+            k: self.model.k(),
+            global_labels: self.model.labels_are_global(),
+        };
 
         self.model.advance(slot);
         if let Some(intf) = self.interference.as_mut() {
             intf.advance(slot, &mut self.jam_rng);
         }
 
-        // Whether this slot's per-node phases (A and D) fan out across
-        // the worker pool. Decided once so both phases agree; phases B
+        // The opt-in pool, if this slot's per-node phases (A and D) fan
+        // out across it. Decided once so both phases agree; phases B
         // and C always stay serial — jamming consumes the JAMMER
         // stream and winner draws the ENGINE stream in fixed order, so
         // digests are identical at any worker count.
-        let par_engaged = self.par.as_ref().is_some_and(|cfg| cfg.engaged(n));
+        let par = self.par.as_ref().filter(|cfg| cfg.engaged(n));
 
-        // Phase A: collect decisions.
-        self.scratch.actions.clear();
-        if par_engaged {
-            let cfg = self.par.as_ref().unwrap();
-            // Placeholders so every worker writes its own index-keyed
-            // slot; `Sleep` carries no payload, so overwriting is a
-            // trivial drop.
-            self.scratch.actions.resize_with(n, || Action::Sleep);
-            let actions = SendPtr(self.scratch.actions.as_mut_ptr());
-            let protocols = SendPtr(self.protocols.as_mut_ptr());
-            let rngs = SendPtr(self.node_rngs.as_mut_ptr());
-            let model = SendPtr(std::ptr::from_ref(&self.model).cast_mut());
-            cfg.pool_run(n, &|start, end| {
-                // SAFETY: each index `i` is visited by exactly one
-                // worker (the pool partitions `0..n` into disjoint
-                // ranges), so `protocols[i]`, `node_rngs[i]`, and
-                // `actions[i]` are exclusively owned here; the model
-                // is only read (`CM: Sync` proven at install).
-                let model = unsafe { &*model.as_const() };
-                for i in start..end {
-                    let c_i = model.c_of(i);
-                    let ctx = NodeCtx {
-                        id: NodeId(i as u32),
-                        slot,
-                        n,
-                        c: c_i,
-                        k,
-                        channels: if global_labels {
-                            Some(model.channels(i))
-                        } else {
-                            None
-                        },
-                    };
-                    let proto = unsafe { &mut *protocols.at(i) };
-                    let rng = unsafe { &mut *rngs.at(i) };
-                    let action = proto.decide(&ctx, rng);
-                    if let Some(ch) = action.channel() {
-                        assert!(
-                            ch.index() < c_i,
-                            "protocol bug: node {i} chose local channel {ch} but c = {c_i}"
-                        );
-                    }
-                    unsafe { *actions.at(i) = action };
-                }
-            });
+        // Phase A: collect decisions. Every node overwrites its own
+        // index-keyed entry; `Sleep` placeholders carry no payload.
+        self.scratch.actions.resize_with(n, || Action::Sleep);
+        if let Some(cfg) = par {
+            let lanes = Lanes::new(
+                &self.model,
+                &mut self.protocols,
+                &mut self.node_rngs,
+                &mut self.scratch,
+            );
+            // SAFETY: the pool partitions `0..n` into disjoint ranges,
+            // and `lanes` outlives the blocking fan-out.
+            cfg.pool_run(n, &|start, end| unsafe { lanes.decide(frame, start, end) });
         } else {
-            for i in 0..n {
-                let c_i = self.model.c_of(i);
-                let ctx = NodeCtx {
-                    id: NodeId(i as u32),
-                    slot,
-                    n,
-                    c: c_i,
-                    k,
-                    channels: if global_labels {
-                        Some(self.model.channels(i))
-                    } else {
-                        None
-                    },
-                };
-                let action = self.protocols[i].decide(&ctx, &mut self.node_rngs[i]);
-                if let Some(ch) = action.channel() {
-                    assert!(
-                        ch.index() < c_i,
-                        "protocol bug: node {i} chose local channel {ch} but c = {c_i}"
-                    );
-                }
-                self.scratch.actions.push(action);
-            }
+            decide_range(
+                frame,
+                &self.model,
+                0,
+                &mut self.protocols,
+                &mut self.node_rngs,
+                &mut self.scratch.actions,
+            );
         }
 
         // Phase B: translate to global channels, show the committed
@@ -737,11 +819,15 @@ where
         self.scratch.jammed_nodes.resize(n, false);
         let mut sleepers = 0usize;
         let mut jammed_count = 0usize;
+        // Each node tunes at most once, so sizing the per-node lists to
+        // `n` up front keeps them from growing at a late high-water mark.
         self.scratch.tuned.clear();
+        self.scratch.tuned.reserve(n);
         if self.interference.is_some() {
             // Interference is adaptive: the committed intents must be
             // shown to the adversary before jamming is applied.
             self.scratch.intents.clear();
+            self.scratch.intents.reserve(n);
             for (i, action) in self.scratch.actions.iter().enumerate() {
                 let Some(local) = action.channel() else {
                     sleepers += 1;
@@ -822,67 +908,31 @@ where
         // Phase D: deliver observations (sleepers observe nothing),
         // fused with a doneness tally so `all_done` is O(1) in run
         // loops instead of an O(n) rescan every slot.
-        let done_count = if par_engaged {
-            let cfg = self.par.as_ref().unwrap();
-            let events = SendPtr(self.scratch.events.as_mut_ptr());
-            let protocols = SendPtr(self.protocols.as_mut_ptr());
-            let model = SendPtr(std::ptr::from_ref(&self.model).cast_mut());
+        let done_count = if let Some(cfg) = par {
+            let lanes = Lanes::new(
+                &self.model,
+                &mut self.protocols,
+                &mut self.node_rngs,
+                &mut self.scratch,
+            );
             let tally = &self.scratch.done_count;
             tally.store(0, Ordering::Relaxed);
             cfg.pool_run(n, &|start, end| {
-                // SAFETY: disjoint index ranges, as in Phase A; events
-                // are taken (moved out) by the one worker owning `i`.
-                let model = unsafe { &*model.as_const() };
-                let mut local_done = 0usize;
-                for i in start..end {
-                    let proto = unsafe { &mut *protocols.at(i) };
-                    if let Some(event) = unsafe { &mut *events.at(i) }.take() {
-                        let ctx = NodeCtx {
-                            id: NodeId(i as u32),
-                            slot,
-                            n,
-                            c: model.c_of(i),
-                            k,
-                            channels: if global_labels {
-                                Some(model.channels(i))
-                            } else {
-                                None
-                            },
-                        };
-                        proto.observe(&ctx, event);
-                    }
-                    if proto.is_done() {
-                        local_done += 1;
-                    }
-                }
+                // SAFETY: as in Phase A.
+                let done = unsafe { lanes.observe(frame, start, end) };
                 // Relaxed suffices: the pool's barrier orders this
                 // against the load below.
-                tally.fetch_add(local_done, Ordering::Relaxed);
+                tally.fetch_add(done, Ordering::Relaxed);
             });
             tally.load(Ordering::Relaxed)
         } else {
-            let mut done = 0usize;
-            for i in 0..n {
-                if let Some(event) = self.scratch.events[i].take() {
-                    let ctx = NodeCtx {
-                        id: NodeId(i as u32),
-                        slot,
-                        n,
-                        c: self.model.c_of(i),
-                        k,
-                        channels: if global_labels {
-                            Some(self.model.channels(i))
-                        } else {
-                            None
-                        },
-                    };
-                    self.protocols[i].observe(&ctx, event);
-                }
-                if self.protocols[i].is_done() {
-                    done += 1;
-                }
-            }
-            done
+            observe_range(
+                frame,
+                &self.model,
+                0,
+                &mut self.protocols,
+                &mut self.scratch.events,
+            )
         };
         self.done_cache = Some(done_count);
 

@@ -15,10 +15,10 @@
 //!
 //! - [`OracleSingleHop`] — the paper's Section 2 oracle: one uniformly
 //!   random winner per contended channel, success feedback, losers
-//!   overhear the winner. This is the exact allocation-free hot path
-//!   the engine always had; its winner draws consume the `ENGINE` RNG
-//!   stream in ascending channel order, so golden traces are
-//!   byte-identical to the pre-medium engine.
+//!   overhear the winner. The allocation-free default path; its
+//!   winner draws consume the `ENGINE` RNG stream in ascending channel
+//!   order, so golden traces are byte-identical to the pre-medium
+//!   engine.
 //! - [`OracleMultihop`] — receiver-centric resolution over a
 //!   [`Topology`]: each listener independently hears one uniformly
 //!   random transmitting *neighbor* on its channel. On a complete
@@ -132,47 +132,59 @@ fn empty_channel_record() -> ChannelActivity {
 /// listeners on the channel receive its message; the winner gets
 /// success feedback and the losers overhear the winning message. The
 /// resolution path is allocation-free in steady state (see
-/// `crn-sim/tests/alloc.rs`): channel grouping uses an epoch-stamped
-/// sparse counting sort over only the *active* channels, and the
-/// published [`ChannelActivity`] records are recycled through a
-/// channel-keyed pool.
+/// `crn-sim/tests/alloc.rs`) and costs `O(T + A log A)` for `T` tuned
+/// nodes on `A` active channels — never proportional to the model's
+/// full channel space:
+///
+/// 1. one pass over the tuned nodes stamps the active channels;
+/// 2. only those `A` channels are sorted;
+/// 3. a second pass, in node order, fills each channel's record
+///    straight from the tuned list, so its broadcaster and listener
+///    lists come out in node order;
+/// 4. winners are drawn on the `ENGINE` stream in ascending channel
+///    order, one draw per channel with broadcasters;
+/// 5. each node's event is read off its channel's record.
+///
+/// The published [`ChannelActivity`] records are recycled by position:
+/// the slot's `j`-th active channel refills the record the previous
+/// slot published at position `j`, so a slot reuses the few records
+/// (and list buffers) it touched recently. Every record a slot can
+/// need is provisioned up front, and each position's lists converge to
+/// that position's high-water size, after which refills never
+/// reallocate.
 #[derive(Debug)]
 pub struct OracleSingleHop {
     engine_rng: SimRng,
-    /// `(channel, node, is_broadcast)`, sorted by channel.
-    tuned: Vec<(GlobalChannel, usize, bool)>,
-    /// Sparse activity index: per global channel, the epoch (slot + 1)
-    /// that last touched it. A stale stamp means "inactive this slot",
-    /// so no per-slot clearing of the channel space is ever needed.
+    /// Number of slots resolved by this medium: the stamp for
+    /// `chan_epoch`. Counted per medium rather than taken from the slot
+    /// number, so a medium handed from one network to the next never
+    /// mistakes the previous run's stamps for current ones.
+    resolved: u64,
+    /// Sparse activity index: per global channel, the value of
+    /// `resolved` during the slot that last touched it. A stale stamp
+    /// means "inactive this slot", so no per-slot clearing of the
+    /// channel space is ever needed.
     chan_epoch: Vec<u64>,
-    /// Per global channel, its slot in `active` (valid only when the
-    /// epoch stamp is current); reused as the running placement offset
-    /// during the grouping pass.
+    /// Per global channel, its position in this slot's records (valid
+    /// only when the epoch stamp is current).
     chan_pos: Vec<u32>,
-    /// The distinct channels touched this slot, with participant counts.
-    active: Vec<(GlobalChannel, u32)>,
-    /// Per node, the winning node on its channel (if any).
-    winners: Vec<Option<usize>>,
-    /// Retired [`ChannelActivity`] records, indexed by global channel.
-    ///
-    /// Keying the pool by channel (rather than recycling LIFO) means
-    /// each channel's broadcaster/listener vectors converge to *that
-    /// channel's* high-water capacity, after which refills never
-    /// reallocate. Costs `O(total_channels)` empty records of scratch
-    /// memory.
-    pool: Vec<ChannelActivity>,
+    /// The distinct channels touched this slot.
+    active: Vec<GlobalChannel>,
+    /// Records not needed by the current slot, kept (with their list
+    /// capacity) for a later slot with more active channels. Pushed
+    /// and popped at the end, so a record returns to its old position.
+    spare: Vec<ChannelActivity>,
 }
 
 impl Default for OracleSingleHop {
     fn default() -> Self {
         OracleSingleHop {
             engine_rng: derive_rng(0, streams::ENGINE),
-            tuned: Vec::new(),
+            resolved: 0,
             chan_epoch: Vec::new(),
             chan_pos: Vec::new(),
             active: Vec::new(),
-            winners: Vec::new(),
-            pool: Vec::new(),
+            spare: Vec::new(),
         }
     }
 }
@@ -183,60 +195,65 @@ impl OracleSingleHop {
         OracleSingleHop::default()
     }
 
-    /// Orders `unsorted` by global channel into `self.tuned`, ties
-    /// broken by node id.
-    ///
-    /// Cost is `O(T + A log A)` for `T` tuned nodes on `A` distinct
-    /// *active* channels — never proportional to the model's full
-    /// channel space `C`. An epoch stamp (`slot + 1`) marks the
-    /// channels touched this slot, so the per-channel arrays are
-    /// neither cleared nor scanned between slots; sparse slots (the
-    /// common case in COGCAST/COGCOMP and all rendezvous baselines)
-    /// pay only for what they touch. The ordering is identical to
-    /// sorting by `(channel, node)`: the input is in ascending node
-    /// order and each node appears at most once, so stable placement
-    /// by channel preserves node order within each group.
-    fn sort_tuned_by_channel(
+    /// Collects this slot's distinct channels into `self.active`,
+    /// ascending.
+    fn collect_active_channels(
         &mut self,
-        slot: u64,
         total_channels: usize,
-        unsorted: &[(GlobalChannel, usize, bool)],
+        tuned: &[(GlobalChannel, usize, bool)],
     ) {
-        let tuned = &mut self.tuned;
-        tuned.clear();
         // Sized to the channel space once (amortized; see tests/alloc.rs),
         // then only the active entries are ever touched again.
         if self.chan_epoch.len() < total_channels {
             self.chan_epoch.resize(total_channels, 0);
             self.chan_pos.resize(total_channels, 0);
         }
-        let epoch = slot + 1; // stamps start at 0, so epoch 0 never matches
-        let active = &mut self.active;
-        active.clear();
-        for &(ch, _, _) in unsorted.iter() {
-            let ci = ch.index();
-            if self.chan_epoch[ci] == epoch {
-                active[self.chan_pos[ci] as usize].1 += 1;
-            } else {
-                self.chan_epoch[ci] = epoch;
-                self.chan_pos[ci] = active.len() as u32;
-                active.push((ch, 1));
+        self.resolved += 1; // stamps start at 0, so the first epoch is 1
+        let epoch = self.resolved;
+        self.active.clear();
+        for &(ch, _, _) in tuned {
+            let stamp = &mut self.chan_epoch[ch.index()];
+            if *stamp != epoch {
+                *stamp = epoch;
+                self.active.push(ch);
             }
         }
         // Winner draws consume the engine stream in ascending channel
         // order, so the active set must be resolved sorted.
-        active.sort_unstable_by_key(|&(ch, _)| ch);
-        let mut offset = 0u32;
-        for &(ch, count) in active.iter() {
-            self.chan_pos[ch.index()] = offset;
-            offset += count;
+        self.active.sort_unstable();
+    }
+
+    /// Makes `channels` hold exactly one record per active channel,
+    /// recycling records by position through `self.spare`.
+    ///
+    /// A slot has at most one active channel per tuned node, so
+    /// `min(n, C)` records cover every slot. They are provisioned once,
+    /// each list with the room its first push would allocate, so a slot
+    /// with more active channels than any before it reuses a record
+    /// instead of allocating one.
+    fn size_records(
+        &mut self,
+        n: usize,
+        total_channels: usize,
+        channels: &mut Vec<ChannelActivity>,
+    ) {
+        let bound = n.min(total_channels);
+        let have = channels.len() + self.spare.len();
+        if have < bound {
+            channels.reserve(bound - channels.len());
+            self.spare.reserve(bound - self.spare.len());
+            self.spare.extend((have..bound).map(|_| ChannelActivity {
+                broadcasters: Vec::with_capacity(4),
+                listeners: Vec::with_capacity(4),
+                ..empty_channel_record()
+            }));
         }
-        tuned.resize(unsorted.len(), (GlobalChannel(0), 0, false));
-        for &entry in unsorted.iter() {
-            let ci = entry.0.index();
-            let at = self.chan_pos[ci];
-            tuned[at as usize] = entry;
-            self.chan_pos[ci] = at + 1;
+        let want = self.active.len();
+        if channels.len() > want {
+            self.spare.extend(channels.drain(want..).rev());
+        } else {
+            let reused = self.spare.len() - (want - channels.len());
+            channels.extend(self.spare.drain(reused..).rev());
         }
     }
 }
@@ -252,88 +269,59 @@ impl<M: Clone> Medium<M> for OracleSingleHop {
         events: &mut [Option<Event<M>>],
         activity: &mut SlotActivity,
     ) {
-        // Retire last slot's channel records to their per-channel pool
-        // slots so each channel's vectors keep their own capacity.
-        if self.pool.len() < inputs.total_channels {
-            self.pool
-                .resize_with(inputs.total_channels, empty_channel_record);
-        }
-        for act in activity.channels.drain(..) {
-            let idx = act.channel.index();
-            self.pool[idx] = act;
-        }
-
-        self.sort_tuned_by_channel(inputs.slot, inputs.total_channels, inputs.tuned);
-
-        // Resolve contention channel by channel, consuming the ENGINE
-        // stream in ascending channel order.
-        self.winners.clear();
-        self.winners.resize(inputs.n, None); // per node: winning node on its channel
-        let mut start = 0;
-        while start < self.tuned.len() {
-            let channel = self.tuned[start].0;
-            let mut end = start;
-            while end < self.tuned.len() && self.tuned[end].0 == channel {
-                end += 1;
-            }
-            let mut act =
-                std::mem::replace(&mut self.pool[channel.index()], empty_channel_record());
+        self.collect_active_channels(inputs.total_channels, inputs.tuned);
+        let channels = &mut activity.channels;
+        self.size_records(inputs.n, inputs.total_channels, channels);
+        for (pos, (&channel, act)) in self.active.iter().zip(channels.iter_mut()).enumerate() {
+            self.chan_pos[channel.index()] = pos as u32;
             act.channel = channel;
             act.broadcasters.clear();
             act.listeners.clear();
-            let group = &self.tuned[start..end];
-            for &(_, node, is_broadcast) in group {
-                if is_broadcast {
-                    act.broadcasters.push(NodeId(node as u32));
-                } else {
-                    act.listeners.push(NodeId(node as u32));
-                }
+        }
+
+        // Fill the records in node order, so every list is sorted.
+        for &(ch, node, is_broadcast) in inputs.tuned {
+            let act = &mut channels[self.chan_pos[ch.index()] as usize];
+            if is_broadcast {
+                act.broadcasters.push(NodeId(node as u32));
+            } else {
+                act.listeners.push(NodeId(node as u32));
             }
-            let winner = if act.broadcasters.is_empty() {
+        }
+
+        // Resolve contention channel by channel, consuming the ENGINE
+        // stream in ascending channel order.
+        for act in channels.iter_mut() {
+            act.winner = if act.broadcasters.is_empty() {
                 None
             } else {
                 let pick = self.engine_rng.gen_range(0..act.broadcasters.len());
-                Some(act.broadcasters[pick].index())
+                Some(act.broadcasters[pick])
             };
-            act.winner = winner.map(|i| NodeId(i as u32));
-            for &(_, node, _) in group {
-                self.winners[node] = winner;
-            }
-            activity.channels.push(act);
-            start = end;
         }
 
         // Translate winners into per-node events (ascending node order,
         // so message clones happen in the same order as the pre-medium
         // engine's Phase D).
-        for &(_, i, is_broadcast) in inputs.tuned {
-            events[i] = Some(if is_broadcast {
-                match self.winners[i] {
-                    Some(w) if w == i => Event::Delivered,
-                    Some(w) => {
-                        let Action::Broadcast(_, msg) = &inputs.actions[w] else {
-                            unreachable!("winner must have broadcast")
-                        };
-                        Event::Lost {
-                            winner: NodeId(w as u32),
-                            msg: msg.clone(),
-                        }
+        for &(ch, i, is_broadcast) in inputs.tuned {
+            let winner = channels[self.chan_pos[ch.index()] as usize].winner;
+            events[i] = Some(match winner {
+                Some(w) if is_broadcast && w.index() == i => Event::Delivered,
+                Some(w) => {
+                    let Action::Broadcast(_, msg) = &inputs.actions[w.index()] else {
+                        unreachable!("winner must have broadcast")
+                    };
+                    let msg = msg.clone();
+                    if is_broadcast {
+                        Event::Lost { winner: w, msg }
+                    } else {
+                        Event::Received { from: w, msg }
                     }
-                    None => unreachable!("a broadcaster's channel always has a winner"),
                 }
-            } else {
-                match self.winners[i] {
-                    Some(w) => {
-                        let Action::Broadcast(_, msg) = &inputs.actions[w] else {
-                            unreachable!("winner must have broadcast")
-                        };
-                        Event::Received {
-                            from: NodeId(w as u32),
-                            msg: msg.clone(),
-                        }
-                    }
-                    None => Event::Silence,
+                None if is_broadcast => {
+                    unreachable!("a broadcaster's channel always has a winner")
                 }
+                None => Event::Silence,
             });
         }
     }
