@@ -201,4 +201,57 @@ mod tests {
         assert_eq!(epoch_len(2), 2);
         assert_eq!(epoch_len(1024), 11);
     }
+
+    /// Known answers for seeds 0..16 at a few `(m, n_max, budget)`
+    /// shapes, written `winner/rounds`, or `-` for budget exhaustion.
+    /// They pin the RNG consumption of the decay kernel: one `gen_bool`
+    /// per contender per round, every round, until the first lone
+    /// transmission.
+    #[test]
+    fn contention_known_answers() {
+        let cases = [
+            (
+                1,
+                1,
+                10,
+                "0/1 0/1 0/1 0/1 0/1 0/1 0/1 0/1 0/1 0/1 0/1 0/1 0/1 0/1 0/1 0/1",
+            ),
+            (
+                3,
+                8,
+                136,
+                "1/8 1/2 2/11 2/2 1/2 0/2 1/6 0/7 1/2 1/3 2/2 1/2 1/12 2/14 2/2 2/3",
+            ),
+            (
+                16,
+                16,
+                208,
+                "4/14 5/8 4/9 7/9 6/15 1/20 9/5 5/5 2/4 14/20 5/10 4/15 9/25 0/10 11/9 1/9",
+            ),
+            (
+                100,
+                256,
+                656,
+                "0/8 34/9 60/7 86/8 40/16 73/7 38/9 56/15 98/9 90/8 0/8 18/8 96/7 89/16 24/7 4/9",
+            ),
+            (
+                4,
+                16,
+                5,
+                "- 0/2 - 2/4 0/2 - 0/3 - 0/5 - 2/4 2/4 1/2 1/3 3/3 0/3",
+            ),
+        ];
+        for (m, n_max, budget, want) in cases {
+            for (seed, expected) in want.split(' ').enumerate() {
+                let mut rng = SimRng::seed_from_u64(seed as u64);
+                let got = resolve_contention(m, n_max, budget, &mut rng)
+                    .unwrap()
+                    .map_or("-".to_string(), |r| format!("{}/{}", r.winner, r.rounds));
+                assert_eq!(
+                    got, expected,
+                    "m={m} n_max={n_max} budget={budget} seed={seed}"
+                );
+            }
+        }
+    }
 }

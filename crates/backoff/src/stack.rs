@@ -311,4 +311,52 @@ mod tests {
             "{err:?}"
         );
     }
+
+    /// Known answers `(slots, physical_rounds, failed_episodes)` per
+    /// seed: they pin the PHYSICAL draw order of the whole stack — one
+    /// tuning draw per node, then one decay episode per channel with
+    /// transmitters, channels ascending.
+    #[test]
+    fn physical_broadcast_known_answers() {
+        let cases: [(usize, usize, usize, [(u64, u64, u64); 8]); 2] = [
+            (
+                16,
+                6,
+                2,
+                [
+                    (17, 3536, 0),
+                    (20, 4160, 0),
+                    (11, 2288, 0),
+                    (8, 1664, 0),
+                    (25, 5200, 0),
+                    (13, 2704, 0),
+                    (11, 2288, 0),
+                    (10, 2080, 0),
+                ],
+            ),
+            (
+                12,
+                4,
+                1,
+                [
+                    (11, 2288, 0),
+                    (19, 3952, 0),
+                    (7, 1456, 0),
+                    (9, 1872, 0),
+                    (16, 3328, 0),
+                    (15, 3120, 0),
+                    (24, 4992, 0),
+                    (9, 1872, 0),
+                ],
+            ),
+        ];
+        for (n, c, k, want) in cases {
+            let sets = shared_core_sets(n, c, k);
+            for (seed, &expected) in want.iter().enumerate() {
+                let run = run_physical_broadcast(&sets, seed as u64, 100_000).unwrap();
+                let got = (run.slots.unwrap(), run.physical_rounds, run.failed_episodes);
+                assert_eq!(got, expected, "shared_core({n}, {c}, {k}) seed {seed}");
+            }
+        }
+    }
 }

@@ -9,7 +9,9 @@
 //! PHYSICAL stream's decay episodes, not the ENGINE stream), so for it
 //! we assert the weaker — but still load-bearing — contract: every slot
 //! it emits passes the medium-profile-aware conformance checker, and
-//! the protocols still complete.
+//! the protocols still complete. Its own traces, and those of the
+//! multihop oracle on incomplete topologies, are pinned by golden
+//! digests of their own.
 
 use crn_core::aggregate::Sum;
 use crn_core::bounds;
@@ -205,4 +207,72 @@ fn physical_medium_conformant_for_all_three_protocols() {
         "rendezvous must finish on the physical medium"
     );
     assert!(slots < budget);
+}
+
+/// Golden traces on the physical medium: COGCAST in the golden
+/// scenario's shape (n = 24, c = 6, k = 3, local labels, seed 42) and
+/// COGCOMP Sum (n = 12, c = 4, k = 2, seed 6), every slot resolved by
+/// decay episodes on the PHYSICAL stream. Pins the records, the episode
+/// draw order and the medium's round and failure bills.
+#[test]
+fn physical_golden_digests() {
+    let n = 24;
+    let model = StaticChannels::local(shared_core(n, 6, 3).expect("valid shape"), 42);
+    let mut net = Network::with_medium(model, cogcast_protos(n), 42, PhysicalDecay::new())
+        .expect("construct");
+    let (slots_run, digest) = drive(&mut net, 10_000, |net| {
+        net.protocols().iter().all(|p| p.is_informed())
+    });
+    assert!(net.protocols().iter().all(|p| p.is_informed()));
+    assert_eq!(
+        (slots_run, digest),
+        (8, 0xc112_d6e2_5479_20d6),
+        "physical COGCAST trace diverged"
+    );
+    assert_eq!(net.medium().physical_rounds(), 2368);
+    assert_eq!(net.medium().failed_episodes(), 0);
+
+    let (n, c, k) = (12usize, 4usize, 2usize);
+    let cfg = CogCompConfig::new(n, c, k, bounds::DEFAULT_ALPHA);
+    let model = StaticChannels::local(shared_core(n, c, k).expect("valid shape"), 6);
+    let mut protos = vec![CogComp::source(cfg, Sum(0))];
+    protos.extend((1..n).map(|i| CogComp::node(cfg, Sum(i as u64))));
+    let mut net = Network::with_medium(model, protos, 6, PhysicalDecay::new()).expect("construct");
+    let (slots_run, digest) = drive(&mut net, cfg.recommended_budget(), |net| net.all_done());
+    assert_eq!(net.protocols()[0].result(), Some(&Sum((0..n as u64).sum())));
+    assert_eq!(
+        (slots_run, digest),
+        (187, 0x27f9_d3b0_ab62_3efe),
+        "physical COGCOMP trace diverged"
+    );
+    assert_eq!(net.medium().physical_rounds(), 38896);
+    assert_eq!(net.medium().failed_episodes(), 0);
+}
+
+/// Golden traces for COGCAST on the multihop oracle over incomplete
+/// topologies (a 6×4 grid and a 24-node line; golden scenario shape
+/// otherwise), where every listener draws its own sender and channel
+/// records carry no winner.
+#[test]
+fn multihop_incomplete_golden_digests() {
+    let n = 24;
+    let cases = [
+        ("grid", Topology::grid(6, 4), 64, 0x831d_a1aa_222a_7f00),
+        ("line", Topology::line(n), 284, 0x500a_bc78_6acb_90f5),
+    ];
+    for (name, topology, slots, golden) in cases {
+        let model = StaticChannels::local(shared_core(n, 6, 3).expect("valid shape"), 42);
+        let medium = OracleMultihop::new(topology);
+        let mut net =
+            Network::with_medium(model, cogcast_protos(n), 42, medium).expect("construct");
+        let (slots_run, digest) = drive(&mut net, 100_000, |net| {
+            net.protocols().iter().all(|p| p.is_informed())
+        });
+        assert!(net.protocols().iter().all(|p| p.is_informed()), "{name}");
+        assert_eq!(
+            (slots_run, digest),
+            (slots, golden),
+            "multihop {name} trace diverged"
+        );
+    }
 }
