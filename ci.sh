@@ -4,7 +4,9 @@
 #   ./ci.sh
 #
 # Runs, in order:
-#   1. release build of the whole workspace          (tier-1)
+#   1. release build of the whole workspace          (tier-1), with
+#      --locked so a dependency change that would rewrite Cargo.lock
+#      fails here
 #   2. the full test suite                           (tier-1)
 #   3. rustfmt in check mode
 #   4. clippy across the workspace with -D warnings
@@ -26,15 +28,17 @@
 #   9. the benchmark's own tests (perfbench/, a separate workspace that
 #      builds against the public API of crn-sim, crn-core and
 #      crn-bench), so an API change that breaks the benchmark fails
-#      here rather than when the benchmark is next run
+#      here rather than when the benchmark is next run; --locked also
+#      fails any crate dependency change that would rewrite the
+#      benchmark's own perfbench/Cargo.lock
 #
 # Everything is offline: external dependencies resolve to the stubs
 # under vendor/ (see Cargo.toml [workspace.dependencies]).
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --locked"
+cargo build --release --locked
 
 echo "==> cargo test -q"
 cargo test -q
@@ -63,7 +67,7 @@ cargo run --release -q -p crn-bench --features validate --bin experiments -- all
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> cargo test --release (perfbench, the benchmark's own tests)"
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+echo "==> cargo test --release --locked (perfbench, the benchmark's own tests)"
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "ci.sh: all green"

@@ -7,15 +7,17 @@
 //! feedback — by exponential-decay backoff at a poly-logarithmic cost.
 //! This crate builds that substrate and measures it (experiment F10):
 //!
-//! - [`radio`] — the standard single-channel radio;
-//! - [`decay`] — the decay backoff protocol, resolving `m ≤ n` stations
-//!   in `O(log² n)` rounds w.h.p., with a uniform winner by symmetry;
-//! - [`emulation`] — one abstract slot expanded into one backoff
-//!   episode, with the delivered-payload semantics of the model.
+//! - [`decay`] — contention resolution among `m ≤ n` stations in
+//!   `O(log² n)` rounds w.h.p., with a uniform winner by symmetry, and
+//!   the rounds-per-slot curve of experiment F10;
+//! - [`stack`] — COGCAST run straight on the physical radio, one decay
+//!   episode per channel per slot (experiment F14).
 //!
-//! The in-engine counterpart — any `crn_sim` protocol driven over this
-//! physics — is the [`crn_sim::medium::PhysicalDecay`] medium; both
-//! draw from the dedicated `PHYSICAL` RNG stream.
+//! The decay kernel itself is [`crn_sim::medium::decay_episode`], the
+//! one implementation shared with the in-engine
+//! [`crn_sim::medium::PhysicalDecay`] medium, which drives any
+//! `crn_sim` protocol over the same physics; all of them draw from the
+//! dedicated `PHYSICAL` RNG stream.
 //!
 //! ```
 //! use crn_backoff::decay::{recommended_rounds, resolve_contention};
@@ -32,11 +34,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod decay;
-pub mod emulation;
-pub mod radio;
 pub mod stack;
 
-pub use decay::{epoch_len, recommended_rounds, resolve_contention, ContentionResult};
-pub use emulation::{emulate_slot, mean_rounds_per_slot, EmulatedSlot};
-pub use radio::{resolve_round, RoundOutcome};
+pub use decay::{
+    epoch_len, mean_rounds_per_slot, recommended_rounds, resolve_contention, ContentionResult,
+};
 pub use stack::{run_physical_broadcast, PhysicalRun};

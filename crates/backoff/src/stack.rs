@@ -23,13 +23,15 @@
 //! compares the abstract-slot count against `crn-core`'s oracle-model
 //! COGCAST to show the substitution preserves behaviour. The same
 //! physics, driving *any* protocol rather than this hard-wired uniform
-//! hopper, is the [`crn_sim::medium::PhysicalDecay`] medium; both draw
-//! from the dedicated `PHYSICAL` RNG stream (docs/RNG_STREAMS.md).
+//! hopper, is the [`crn_sim::medium::PhysicalDecay`] medium; both run
+//! the one decay kernel, [`crn_sim::medium::decay_episode`], on the
+//! dedicated `PHYSICAL` RNG stream (docs/RNG_STREAMS.md).
 
 use crate::decay::recommended_rounds;
-use crate::radio::{resolve_round, RoundOutcome};
+use crn_sim::assignment::ChannelAssignment;
+use crn_sim::medium::decay_episode;
 use crn_sim::rng::{derive_rng, streams};
-use crn_sim::SimError;
+use crn_sim::GlobalChannel;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -44,7 +46,8 @@ pub struct PhysicalRun {
     pub physical_rounds: u64,
     /// Rounds in one abstract slot (the fixed episode length `R`).
     pub rounds_per_slot: u64,
-    /// Channel-episodes that ended without a lone transmission.
+    /// Channel-episodes with listeners that ended without a lone
+    /// transmission.
     pub failed_episodes: u64,
     /// Informed count after each abstract slot.
     pub informed_per_slot: Vec<usize>,
@@ -57,71 +60,30 @@ impl PhysicalRun {
     }
 }
 
-/// Builds the shared-core channel assignment used by the physical-stack
-/// experiments and the conformance suite: `k` core channels (`0..k`)
-/// held by everyone, plus `c - k` private channels per node, disjoint
-/// across nodes. The same shape as `crn_sim::assignment::shared_core`,
-/// expressed as raw global ids for [`run_physical_broadcast`].
-///
-/// # Examples
-///
-/// ```
-/// use crn_backoff::stack::shared_core_sets;
-/// let sets = shared_core_sets(3, 4, 2);
-/// assert_eq!(sets[0], vec![0, 1, 2, 3]);
-/// assert_eq!(sets[1], vec![0, 1, 4, 5]);
-/// ```
-pub fn shared_core_sets(n: usize, c: usize, k: usize) -> Vec<Vec<u32>> {
-    (0..n)
-        .map(|i| {
-            let mut s: Vec<u32> = (0..k as u32).collect();
-            let base = (k + i * (c - k)) as u32;
-            s.extend(base..base + (c - k) as u32);
-            s
-        })
-        .collect()
-}
-
 /// Runs COGCAST for local broadcast over the physical radio.
 ///
-/// `channel_sets[i]` lists node `i`'s channels as global ids (the
-/// engine-free simulation keeps its own local-label permutation
-/// internally — uniform random selection is label-invariant). Node 0
-/// is the source. All randomness comes from the `PHYSICAL` stream
-/// derived from `seed`.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidParams`] if `channel_sets` is empty or
-/// some node has no channels.
+/// Every slot each node tunes to a uniformly random channel of its set
+/// in `assignment` (the engine-free simulation needs no local labels —
+/// uniform random selection is label-invariant). Node 0 is the source.
+/// All randomness comes from the `PHYSICAL` stream derived from `seed`.
 ///
 /// # Examples
 ///
 /// ```
 /// use crn_backoff::stack::run_physical_broadcast;
+/// use crn_sim::assignment::full_overlap;
 /// // 4 nodes sharing channels {0,1}.
-/// let sets = vec![vec![0u32, 1]; 4];
-/// let run = run_physical_broadcast(&sets, 3, 1_000)?;
+/// let run = run_physical_broadcast(&full_overlap(4, 2)?, 3, 1_000);
 /// assert!(run.completed());
 /// assert!(run.physical_rounds >= run.slots.unwrap());
 /// # Ok::<(), crn_sim::SimError>(())
 /// ```
 pub fn run_physical_broadcast(
-    channel_sets: &[Vec<u32>],
+    assignment: &ChannelAssignment,
     seed: u64,
     max_slots: u64,
-) -> Result<PhysicalRun, SimError> {
-    let n = channel_sets.len();
-    if n == 0 {
-        return Err(SimError::InvalidParams {
-            reason: "need at least one node".into(),
-        });
-    }
-    if let Some(i) = channel_sets.iter().position(|s| s.is_empty()) {
-        return Err(SimError::InvalidParams {
-            reason: format!("every node needs at least one channel (node {i} has none)"),
-        });
-    }
+) -> PhysicalRun {
+    let n = assignment.n();
     let rounds_per_slot = recommended_rounds(n);
     let mut rng = derive_rng(seed, streams::PHYSICAL);
     let mut informed = vec![false; n];
@@ -130,94 +92,66 @@ pub fn run_physical_broadcast(
     let mut informed_per_slot = Vec::new();
     let mut failed_episodes = 0u64;
     let mut physical_rounds = 0u64;
+    let mut slots = None;
+    // This slot's `(channel, node)` tunings, grouped by channel.
+    let mut tuned: Vec<(GlobalChannel, usize)> = Vec::with_capacity(n);
 
-    for slot in 0..max_slots {
-        let _ = slot;
+    for slot in 1..=max_slots {
         // Tune: everyone picks a uniform channel from its own set.
-        let tuning: Vec<u32> = channel_sets
-            .iter()
-            .map(|s| s[rng.gen_range(0..s.len())])
-            .collect();
+        tuned.clear();
+        tuned.extend((0..n).map(|i| {
+            let set = assignment.channels_of(i);
+            (set[rng.gen_range(0..set.len())], i)
+        }));
+        tuned.sort_unstable();
         physical_rounds += rounds_per_slot;
 
-        // Per channel, run one decay episode among the informed
-        // (transmitting) nodes tuned there.
-        let mut channels: Vec<u32> = tuning.clone();
-        channels.sort_unstable();
-        channels.dedup();
-        let mut newly_informed: Vec<usize> = Vec::new();
-        for &ch in &channels {
-            let members: Vec<usize> = (0..n).filter(|&i| tuning[i] == ch).collect();
-            let transmitters: Vec<usize> =
-                members.iter().copied().filter(|&i| informed[i]).collect();
-            if transmitters.is_empty() {
+        // Per channel, ascending, one decay episode among the informed
+        // (transmitting) nodes tuned there; a lone transmission informs
+        // every node on the channel. A node is tuned to one channel, so
+        // informing it at once cannot change another channel's episode.
+        for members in tuned.chunk_by(|a, b| a.0 == b.0) {
+            let transmitters = members.iter().filter(|&&(_, i)| informed[i]).count();
+            if transmitters == 0 {
                 continue;
             }
-            // Decay episode: in round j of an epoch, each active
-            // transmitter sends with probability 2^-j; the first lone
-            // transmission ends the episode (everyone else received
-            // and aborts).
-            let epoch = crate::decay::epoch_len(n) as u64;
-            let mut success = false;
-            let mut tx = vec![false; transmitters.len()];
-            for round in 0..rounds_per_slot {
-                let j = (round % epoch) as i32;
-                let p = 0.5f64.powi(j).min(1.0);
-                for t in tx.iter_mut() {
-                    *t = rng.gen_bool(p);
-                }
-                if let RoundOutcome::Success(_) = resolve_round(&tx) {
-                    success = true;
-                    break;
-                }
-            }
-            if success {
-                for &i in &members {
+            if decay_episode(transmitters, n, rounds_per_slot, &mut rng).is_some() {
+                for &(_, i) in members {
                     if !informed[i] {
-                        newly_informed.push(i);
+                        informed[i] = true;
+                        informed_count += 1;
                     }
                 }
-            } else if members.len() > transmitters.len() {
+            } else if members.len() > transmitters {
                 // Listeners were present but the episode failed.
                 failed_episodes += 1;
             }
         }
-        for i in newly_informed {
-            if !informed[i] {
-                informed[i] = true;
-                informed_count += 1;
-            }
-        }
         informed_per_slot.push(informed_count);
         if informed_count == n {
-            return Ok(PhysicalRun {
-                slots: Some(informed_per_slot.len() as u64),
-                physical_rounds,
-                rounds_per_slot,
-                failed_episodes,
-                informed_per_slot,
-            });
+            slots = Some(slot);
+            break;
         }
     }
-    Ok(PhysicalRun {
-        slots: None,
+    PhysicalRun {
+        slots,
         physical_rounds,
         rounds_per_slot,
         failed_episodes,
         informed_per_slot,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crn_sim::assignment::{full_overlap, shared_core};
     use crn_sim::SimRng;
     use rand::SeedableRng;
 
     #[test]
     fn completes_on_single_shared_channel() {
-        let sets = vec![vec![0u32]; 6];
-        let run = run_physical_broadcast(&sets, 1, 1000).unwrap();
+        let run = run_physical_broadcast(&full_overlap(6, 1).unwrap(), 1, 1000);
         assert!(run.completed());
         assert_eq!(
             run.physical_rounds,
@@ -228,8 +162,8 @@ mod tests {
     #[test]
     fn completes_on_shared_core_assignments() {
         for seed in 0..5 {
-            let sets = shared_core_sets(16, 6, 2);
-            let run = run_physical_broadcast(&sets, seed, 100_000).unwrap();
+            let assignment = shared_core(16, 6, 2).unwrap();
+            let run = run_physical_broadcast(&assignment, seed, 100_000);
             assert!(run.completed(), "seed {seed}");
             assert_eq!(run.failed_episodes, 0, "episodes should not fail at n=16");
         }
@@ -237,8 +171,8 @@ mod tests {
 
     #[test]
     fn informed_counts_monotone_and_reach_n() {
-        let sets = shared_core_sets(20, 5, 2);
-        let run = run_physical_broadcast(&sets, 7, 100_000).unwrap();
+        let assignment = shared_core(20, 5, 2).unwrap();
+        let run = run_physical_broadcast(&assignment, 7, 100_000);
         for w in run.informed_per_slot.windows(2) {
             assert!(w[0] <= w[1]);
         }
@@ -255,21 +189,26 @@ mod tests {
         let trials = 30u64;
         let mut physical_total = 0u64;
         for seed in 0..trials {
-            let run = run_physical_broadcast(&shared_core_sets(n, c, k), seed, 1_000_000).unwrap();
+            let run = run_physical_broadcast(&shared_core(n, c, k).unwrap(), seed, 1_000_000);
             physical_total += run.slots.unwrap();
         }
         // Oracle variant: identical loop with a guaranteed winner.
         let mut oracle_total = 0u64;
         for seed in 0..trials {
             let mut rng = SimRng::seed_from_u64(seed ^ 0xABCD);
-            let sets = shared_core_sets(n, c, k);
+            let assignment = shared_core(n, c, k).unwrap();
             let mut informed = vec![false; n];
             informed[0] = true;
             let mut count = 1;
             let mut slots = 0u64;
             while count < n {
                 slots += 1;
-                let tuning: Vec<u32> = sets.iter().map(|s| s[rng.gen_range(0..s.len())]).collect();
+                let tuning: Vec<GlobalChannel> = (0..n)
+                    .map(|i| {
+                        let s = assignment.channels_of(i);
+                        s[rng.gen_range(0..s.len())]
+                    })
+                    .collect();
                 for i in 0..n {
                     if !informed[i] && (0..n).any(|j| informed[j] && tuning[j] == tuning[i]) {
                         informed[i] = true;
@@ -288,73 +227,42 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_reported() {
-        let sets = shared_core_sets(30, 8, 1);
-        let run = run_physical_broadcast(&sets, 2, 1).unwrap();
+        let assignment = shared_core(30, 8, 1).unwrap();
+        let run = run_physical_broadcast(&assignment, 2, 1);
         assert!(!run.completed());
         assert_eq!(run.informed_per_slot.len(), 1);
     }
 
-    #[test]
-    fn empty_network_rejected() {
-        let err = run_physical_broadcast(&[], 0, 10).unwrap_err();
-        assert!(
-            matches!(&err, SimError::InvalidParams { reason } if reason.contains("at least one node")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn empty_channel_set_rejected() {
-        let err = run_physical_broadcast(&[vec![]], 0, 10).unwrap_err();
-        assert!(
-            matches!(&err, SimError::InvalidParams { reason } if reason.contains("at least one channel")),
-            "{err:?}"
-        );
-    }
-
-    /// Known answers `(slots, physical_rounds, failed_episodes)` per
-    /// seed: they pin the PHYSICAL draw order of the whole stack — one
+    /// Known answers `slots/physical_rounds/failed_episodes` for seeds
+    /// 0..8: they pin the PHYSICAL draw order of the whole stack — one
     /// tuning draw per node, then one decay episode per channel with
     /// transmitters, channels ascending.
     #[test]
     fn physical_broadcast_known_answers() {
-        let cases: [(usize, usize, usize, [(u64, u64, u64); 8]); 2] = [
+        let cases = [
             (
                 16,
                 6,
                 2,
-                [
-                    (17, 3536, 0),
-                    (20, 4160, 0),
-                    (11, 2288, 0),
-                    (8, 1664, 0),
-                    (25, 5200, 0),
-                    (13, 2704, 0),
-                    (11, 2288, 0),
-                    (10, 2080, 0),
-                ],
+                "17/3536/0 20/4160/0 11/2288/0 8/1664/0 25/5200/0 13/2704/0 11/2288/0 10/2080/0",
             ),
             (
                 12,
                 4,
                 1,
-                [
-                    (11, 2288, 0),
-                    (19, 3952, 0),
-                    (7, 1456, 0),
-                    (9, 1872, 0),
-                    (16, 3328, 0),
-                    (15, 3120, 0),
-                    (24, 4992, 0),
-                    (9, 1872, 0),
-                ],
+                "11/2288/0 19/3952/0 7/1456/0 9/1872/0 16/3328/0 15/3120/0 24/4992/0 9/1872/0",
             ),
         ];
         for (n, c, k, want) in cases {
-            let sets = shared_core_sets(n, c, k);
-            for (seed, &expected) in want.iter().enumerate() {
-                let run = run_physical_broadcast(&sets, seed as u64, 100_000).unwrap();
-                let got = (run.slots.unwrap(), run.physical_rounds, run.failed_episodes);
+            let assignment = shared_core(n, c, k).unwrap();
+            for (seed, expected) in want.split(' ').enumerate() {
+                let run = run_physical_broadcast(&assignment, seed as u64, 100_000);
+                let got = format!(
+                    "{}/{}/{}",
+                    run.slots.unwrap(),
+                    run.physical_rounds,
+                    run.failed_episodes
+                );
                 assert_eq!(got, expected, "shared_core({n}, {c}, {k}) seed {seed}");
             }
         }

@@ -218,17 +218,10 @@ fn bench_ablations(cr: &mut Criterion) {
 
     cr.bench_function("f14_physical_stack", |b| {
         use crn_backoff::stack::run_physical_broadcast;
-        let sets: Vec<Vec<u32>> = (0..16usize)
-            .map(|i| {
-                let mut s: Vec<u32> = vec![0, 1];
-                let base = (2 + i * 4) as u32;
-                s.extend(base..base + 4);
-                s
-            })
-            .collect();
+        let assignment = shared_core(16, 6, 2).unwrap();
         b.iter(|| {
             let s = next();
-            black_box(run_physical_broadcast(&sets, s, 1_000_000).unwrap().slots)
+            black_box(run_physical_broadcast(&assignment, s, 1_000_000).slots)
         })
     });
 }

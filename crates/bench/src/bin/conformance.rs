@@ -29,12 +29,12 @@
 //! `--quick` selects the CI profile (still ≥ 100 workloads per part,
 //! and still sweeping the whole medium axis).
 
-use crn_backoff::stack::{run_physical_broadcast, shared_core_sets};
+use crn_backoff::stack::run_physical_broadcast;
 use crn_core::bounds::{cogcast_slots, DEFAULT_ALPHA};
 use crn_core::cogcast::{run_broadcast, CogCast};
 use crn_jamming::{JammerStrategy, UniformJammer};
 use crn_multihop::{run_flood, Topology};
-use crn_sim::assignment::{shared_core, ChannelAssignment, OverlapPattern};
+use crn_sim::assignment::{shared_core, OverlapPattern};
 use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
 use crn_sim::conformance::{replay_winners, report, Violation};
 use crn_sim::rng::{derive_rng, streams};
@@ -272,19 +272,7 @@ fn oracle_vs_physical(workloads: u64, trials: u64) -> usize {
         let n = rng.gen_range(6..=24usize);
         let c = rng.gen_range(3..=8usize);
         let k = rng.gen_range(1..c);
-        let sets = shared_core_sets(n, c, k);
-        let total = sets
-            .iter()
-            .flatten()
-            .map(|&g| g as usize + 1)
-            .max()
-            .expect("non-empty sets");
-        let g_sets = sets
-            .iter()
-            .map(|s| s.iter().map(|&g| crn_sim::GlobalChannel(g)).collect())
-            .collect();
-        let assignment =
-            ChannelAssignment::from_sets(g_sets, total, k).expect("shared-core sets are valid");
+        let assignment = shared_core(n, c, k).expect("valid shared-core shape");
 
         let mut oracle_sum = 0u64;
         let mut physical_sum = 0u64;
@@ -295,8 +283,7 @@ fn oracle_vs_physical(workloads: u64, trials: u64) -> usize {
             let oracle = run_broadcast(model, trial_seed, ORACLE_BUDGET)
                 .expect("construct")
                 .slots;
-            let physical =
-                run_physical_broadcast(&sets, trial_seed, PHYSICAL_BUDGET).expect("valid params");
+            let physical = run_physical_broadcast(&assignment, trial_seed, PHYSICAL_BUDGET);
             match (oracle, physical.slots) {
                 (Some(o), Some(p)) => {
                     oracle_sum += o;

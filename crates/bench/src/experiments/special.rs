@@ -1,7 +1,7 @@
 //! Separation, jamming and substrate experiments: T5, F9, F10.
 
 use crate::effort::{mean_slots, Effort};
-use crn_backoff::emulation::mean_rounds_per_slot;
+use crn_backoff::decay::mean_rounds_per_slot;
 use crn_core::cogcast::run_broadcast;
 use crn_jamming::{run_jammed_broadcast, JammerStrategy};
 use crn_rendezvous::hop_together::run_hop_together;
@@ -103,7 +103,7 @@ pub fn f10(effort: Effort) -> Series {
 /// abstract-slot counts must agree (same protocol, same workload); the
 /// physical stack additionally pays `O(log² n)` rounds per slot.
 pub fn f14(effort: Effort) -> Table {
-    use crn_backoff::stack::{run_physical_broadcast, shared_core_sets};
+    use crn_backoff::stack::run_physical_broadcast;
     let (c, k) = (6usize, 2usize);
     let ns: &[usize] = &[8, 16, 32, 64];
     let trials = effort.trials(15);
@@ -126,9 +126,9 @@ pub fn f14(effort: Effort) -> Table {
                 .slots
                 .expect("completes")
         });
-        let sets = shared_core_sets(n, c, k);
+        let assignment = shared_core(n, c, k).expect("valid");
         let runs = crate::effort::par_trials(trials, |seed| {
-            let run = run_physical_broadcast(&sets, seed, 10_000_000).expect("valid params");
+            let run = run_physical_broadcast(&assignment, seed, 10_000_000);
             assert!(run.completed(), "physical n={n} seed={seed}");
             run
         });

@@ -682,6 +682,28 @@ mod tests {
     }
 
     #[test]
+    fn constructors_reject_empty_networks_and_empty_sets() {
+        // The guarantee consumers such as `run_physical_broadcast` rely
+        // on: every assignment has a node, and every node a channel.
+        for build in [
+            ChannelAssignment::from_sets,
+            ChannelAssignment::from_ragged_sets,
+        ] {
+            let err = build(vec![], 4, 1).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidParams { reason } if reason.contains("at least one node")),
+                "{err:?}"
+            );
+            let err = build(vec![vec![], vec![GlobalChannel(0)]], 4, 1).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidParams { reason } if reason.contains("at least one channel")),
+                "{err:?}"
+            );
+            assert!(build(vec![vec![GlobalChannel(0)], vec![]], 4, 1).is_err());
+        }
+    }
+
+    #[test]
     fn from_sets_detects_overlap_violation() {
         let sets = vec![
             vec![GlobalChannel(0), GlobalChannel(1)],

@@ -29,6 +29,15 @@
 //!   per channel (footnote 4), on the dedicated `PHYSICAL` RNG stream.
 //!   Physical-round counts and failed episodes are exposed as medium
 //!   metadata.
+//!
+//! All three build a slot's [`ChannelActivity`] records one way, through
+//! a private builder that stamps the active channels, sorts only those,
+//! fills the lists in node order and recycles records by position; each
+//! medium adds only what differs — the oracle's `ENGINE` draw per
+//! channel, the multihop per-receiver draws, or one decay episode per
+//! channel. That episode is [`decay_episode`], the single decay-backoff
+//! kernel, which `crn-backoff`'s contention and physical-stack
+//! experiments call too.
 
 use crate::ids::{GlobalChannel, NodeId};
 use crate::proto::{Action, Event};
@@ -117,45 +126,29 @@ pub trait Medium<M: Clone> {
     fn profile(&self) -> MediumProfile;
 }
 
-fn empty_channel_record() -> ChannelActivity {
-    ChannelActivity {
-        channel: GlobalChannel(0),
-        broadcasters: Vec::new(),
-        winner: None,
-        listeners: Vec::new(),
-    }
-}
-
-/// The paper's Section 2 collision oracle — the default medium.
-///
-/// One uniformly random broadcaster per contended channel wins; all
-/// listeners on the channel receive its message; the winner gets
-/// success feedback and the losers overhear the winning message. The
-/// resolution path is allocation-free in steady state (see
-/// `crn-sim/tests/alloc.rs`) and costs `O(T + A log A)` for `T` tuned
-/// nodes on `A` active channels — never proportional to the model's
-/// full channel space:
+/// The one way every medium builds a slot's [`ChannelActivity`]
+/// records, in `O(T + A log A)` for `T` tuned nodes on `A` active
+/// channels — never proportional to the model's full channel space:
 ///
 /// 1. one pass over the tuned nodes stamps the active channels;
 /// 2. only those `A` channels are sorted;
 /// 3. a second pass, in node order, fills each channel's record
 ///    straight from the tuned list, so its broadcaster and listener
-///    lists come out in node order;
-/// 4. winners are drawn on the `ENGINE` stream in ascending channel
-///    order, one draw per channel with broadcasters;
-/// 5. each node's event is read off its channel's record.
+///    lists come out in node order.
 ///
-/// The published [`ChannelActivity`] records are recycled by position:
-/// the slot's `j`-th active channel refills the record the previous
-/// slot published at position `j`, so a slot reuses the few records
-/// (and list buffers) it touched recently. Every record a slot can
-/// need is provisioned up front, and each position's lists converge to
-/// that position's high-water size, after which refills never
-/// reallocate.
-#[derive(Debug)]
-pub struct OracleSingleHop {
-    engine_rng: SimRng,
-    /// Number of slots resolved by this medium: the stamp for
+/// Records come out ascending by channel with no winner; a medium then
+/// decides the winners and reads each node's event off its channel's
+/// record ([`ChannelRecords::pos`], [`ChannelRecords::deliver`]).
+///
+/// Records are recycled by position: the slot's `j`-th active channel
+/// refills the record the previous slot published at position `j`, so
+/// a slot reuses the few records (and list buffers) it touched
+/// recently. Every record a slot can need is provisioned up front, and
+/// each position's lists converge to that position's high-water size,
+/// after which refills never reallocate (see `crn-sim/tests/alloc.rs`).
+#[derive(Debug, Default)]
+struct ChannelRecords {
+    /// Number of slots built by this medium: the stamp for
     /// `chan_epoch`. Counted per medium rather than taken from the slot
     /// number, so a medium handed from one network to the next never
     /// mistakes the previous run's stamps for current ones.
@@ -176,23 +169,68 @@ pub struct OracleSingleHop {
     spare: Vec<ChannelActivity>,
 }
 
-impl Default for OracleSingleHop {
-    fn default() -> Self {
-        OracleSingleHop {
-            engine_rng: derive_rng(0, streams::ENGINE),
-            resolved: 0,
-            chan_epoch: Vec::new(),
-            chan_pos: Vec::new(),
-            active: Vec::new(),
-            spare: Vec::new(),
+impl ChannelRecords {
+    /// Replaces `channels` with this slot's records: one per channel in
+    /// `inputs.tuned`, ascending by channel, lists in node order, no
+    /// winner.
+    fn build<M>(&mut self, inputs: &SlotInputs<'_, M>, channels: &mut Vec<ChannelActivity>) {
+        self.collect_active_channels(inputs.total_channels, inputs.tuned);
+        self.size_records(inputs.n, inputs.total_channels, channels);
+        for (pos, (&channel, act)) in self.active.iter().zip(channels.iter_mut()).enumerate() {
+            self.chan_pos[channel.index()] = pos as u32;
+            act.channel = channel;
+            act.broadcasters.clear();
+            act.winner = None;
+            act.listeners.clear();
+        }
+        for &(ch, node, is_broadcast) in inputs.tuned {
+            let act = &mut channels[self.pos(ch)];
+            if is_broadcast {
+                act.broadcasters.push(NodeId(node as u32));
+            } else {
+                act.listeners.push(NodeId(node as u32));
+            }
         }
     }
-}
 
-impl OracleSingleHop {
-    /// A fresh oracle (the RNG is re-derived when the network seeds it).
-    pub fn new() -> Self {
-        OracleSingleHop::default()
+    /// Position of `ch`'s record among the records of the slot last
+    /// built; `ch` must have been tuned in that slot.
+    fn pos(&self, ch: GlobalChannel) -> usize {
+        self.chan_pos[ch.index()] as usize
+    }
+
+    /// Sets every tuned node's event from its channel's winner, in
+    /// ascending node order (so message clones happen in the same order
+    /// as the pre-medium engine's Phase D): the winner learns it
+    /// succeeded, the other broadcasters lose to it, the listeners
+    /// receive it. On a channel without a winner listeners hear silence
+    /// and broadcasters observe [`Event::Delivered`]: the oracle never
+    /// leaves a broadcaster's channel without a winner, and on the
+    /// physical radio a failed episode sounds exactly like winning.
+    fn deliver<M: Clone>(
+        &self,
+        inputs: &SlotInputs<'_, M>,
+        channels: &[ChannelActivity],
+        events: &mut [Option<Event<M>>],
+    ) {
+        for &(ch, i, is_broadcast) in inputs.tuned {
+            events[i] = Some(match channels[self.pos(ch)].winner {
+                Some(w) if w.index() == i => Event::Delivered,
+                Some(w) => {
+                    let Action::Broadcast(_, msg) = &inputs.actions[w.index()] else {
+                        unreachable!("winner must have broadcast")
+                    };
+                    let msg = msg.clone();
+                    if is_broadcast {
+                        Event::Lost { winner: w, msg }
+                    } else {
+                        Event::Received { from: w, msg }
+                    }
+                }
+                None if is_broadcast => Event::Delivered,
+                None => Event::Silence,
+            });
+        }
     }
 
     /// Collects this slot's distinct channels into `self.active`,
@@ -218,8 +256,8 @@ impl OracleSingleHop {
                 self.active.push(ch);
             }
         }
-        // Winner draws consume the engine stream in ascending channel
-        // order, so the active set must be resolved sorted.
+        // Media that draw per channel consume their stream in ascending
+        // channel order, so the active set must be resolved sorted.
         self.active.sort_unstable();
     }
 
@@ -243,9 +281,10 @@ impl OracleSingleHop {
             channels.reserve(bound - channels.len());
             self.spare.reserve(bound - self.spare.len());
             self.spare.extend((have..bound).map(|_| ChannelActivity {
+                channel: GlobalChannel(0),
                 broadcasters: Vec::with_capacity(4),
+                winner: None,
                 listeners: Vec::with_capacity(4),
-                ..empty_channel_record()
             }));
         }
         let want = self.active.len();
@@ -255,6 +294,38 @@ impl OracleSingleHop {
             let reused = self.spare.len() - (want - channels.len());
             channels.extend(self.spare.drain(reused..).rev());
         }
+    }
+}
+
+/// The paper's Section 2 collision oracle — the default medium.
+///
+/// One uniformly random broadcaster per contended channel wins; all
+/// listeners on the channel receive its message; the winner gets
+/// success feedback and the losers overhear the winning message. The
+/// records come from the shared record builder, so resolution is
+/// allocation-free in steady state (see `crn-sim/tests/alloc.rs`) and
+/// costs `O(T + A log A)` for `T` tuned nodes on `A` active channels.
+/// Winners are drawn on the `ENGINE` stream in ascending channel order,
+/// one draw per channel with broadcasters.
+#[derive(Debug)]
+pub struct OracleSingleHop {
+    engine_rng: SimRng,
+    records: ChannelRecords,
+}
+
+impl Default for OracleSingleHop {
+    fn default() -> Self {
+        OracleSingleHop {
+            engine_rng: derive_rng(0, streams::ENGINE),
+            records: ChannelRecords::default(),
+        }
+    }
+}
+
+impl OracleSingleHop {
+    /// A fresh oracle (the RNG is re-derived when the network seeds it).
+    pub fn new() -> Self {
+        OracleSingleHop::default()
     }
 }
 
@@ -269,61 +340,15 @@ impl<M: Clone> Medium<M> for OracleSingleHop {
         events: &mut [Option<Event<M>>],
         activity: &mut SlotActivity,
     ) {
-        self.collect_active_channels(inputs.total_channels, inputs.tuned);
         let channels = &mut activity.channels;
-        self.size_records(inputs.n, inputs.total_channels, channels);
-        for (pos, (&channel, act)) in self.active.iter().zip(channels.iter_mut()).enumerate() {
-            self.chan_pos[channel.index()] = pos as u32;
-            act.channel = channel;
-            act.broadcasters.clear();
-            act.listeners.clear();
-        }
-
-        // Fill the records in node order, so every list is sorted.
-        for &(ch, node, is_broadcast) in inputs.tuned {
-            let act = &mut channels[self.chan_pos[ch.index()] as usize];
-            if is_broadcast {
-                act.broadcasters.push(NodeId(node as u32));
-            } else {
-                act.listeners.push(NodeId(node as u32));
+        self.records.build(inputs, channels);
+        for act in channels.iter_mut() {
+            if !act.broadcasters.is_empty() {
+                let pick = self.engine_rng.gen_range(0..act.broadcasters.len());
+                act.winner = Some(act.broadcasters[pick]);
             }
         }
-
-        // Resolve contention channel by channel, consuming the ENGINE
-        // stream in ascending channel order.
-        for act in channels.iter_mut() {
-            act.winner = if act.broadcasters.is_empty() {
-                None
-            } else {
-                let pick = self.engine_rng.gen_range(0..act.broadcasters.len());
-                Some(act.broadcasters[pick])
-            };
-        }
-
-        // Translate winners into per-node events (ascending node order,
-        // so message clones happen in the same order as the pre-medium
-        // engine's Phase D).
-        for &(ch, i, is_broadcast) in inputs.tuned {
-            let winner = channels[self.chan_pos[ch.index()] as usize].winner;
-            events[i] = Some(match winner {
-                Some(w) if is_broadcast && w.index() == i => Event::Delivered,
-                Some(w) => {
-                    let Action::Broadcast(_, msg) = &inputs.actions[w.index()] else {
-                        unreachable!("winner must have broadcast")
-                    };
-                    let msg = msg.clone();
-                    if is_broadcast {
-                        Event::Lost { winner: w, msg }
-                    } else {
-                        Event::Received { from: w, msg }
-                    }
-                }
-                None if is_broadcast => {
-                    unreachable!("a broadcaster's channel always has a winner")
-                }
-                None => Event::Silence,
-            });
-        }
+        self.records.deliver(inputs, channels, events);
     }
 
     fn profile(&self) -> MediumProfile {
@@ -351,11 +376,7 @@ pub struct OracleMultihop {
     is_complete: bool,
     inner: OracleSingleHop,
     rng: SimRng,
-    /// Per node: `(channel, is_broadcast)` if tuned this slot.
-    node_tuned: Vec<Option<(GlobalChannel, bool)>>,
-    /// Scratch: `tuned` re-sorted by `(channel, node)` for the
-    /// activity records.
-    by_channel: Vec<(GlobalChannel, usize, bool)>,
+    records: ChannelRecords,
     /// Scratch: a listener's transmitting neighbors on its channel.
     senders: Vec<usize>,
 }
@@ -370,8 +391,7 @@ impl OracleMultihop {
             is_complete,
             inner: OracleSingleHop::new(),
             rng: derive_rng(0, streams::ENGINE),
-            node_tuned: Vec::new(),
-            by_channel: Vec::new(),
+            records: ChannelRecords::default(),
             senders: Vec::new(),
         }
     }
@@ -399,25 +419,25 @@ impl<M: Clone> Medium<M> for OracleMultihop {
             return self.inner.resolve(inputs, events, activity);
         }
 
-        self.node_tuned.clear();
-        self.node_tuned.resize(inputs.n, None);
-        for &(ch, node, is_broadcast) in inputs.tuned {
-            self.node_tuned[node] = Some((ch, is_broadcast));
-        }
+        // Winners are per-receiver in this medium, so channel records
+        // carry none (`guaranteed_winner: false`).
+        let channels = &mut activity.channels;
+        self.records.build(inputs, channels);
 
         // Per-receiver winner draws, ascending node order (the draw
         // order the standalone multi-hop engine always used).
-        for &(my_channel, i, is_broadcast) in inputs.tuned {
+        for &(ch, i, is_broadcast) in inputs.tuned {
             events[i] = Some(if is_broadcast {
                 Event::Delivered
             } else {
+                let on_air = &channels[self.records.pos(ch)].broadcasters;
                 self.senders.clear();
                 self.senders.extend(
                     self.topology
                         .neighbors(i)
                         .iter()
                         .copied()
-                        .filter(|&j| self.node_tuned[j] == Some((my_channel, true))),
+                        .filter(|&j| on_air.binary_search(&NodeId(j as u32)).is_ok()),
                 );
                 if self.senders.is_empty() {
                     Event::Silence
@@ -432,34 +452,6 @@ impl<M: Clone> Medium<M> for OracleMultihop {
                     }
                 }
             });
-        }
-
-        // Physical-layer record: who was tuned where. Winners are
-        // per-receiver in this medium, so channel records carry none
-        // (`guaranteed_winner: false`).
-        activity.channels.clear();
-        self.by_channel.clear();
-        self.by_channel.extend_from_slice(inputs.tuned);
-        self.by_channel
-            .sort_unstable_by_key(|&(ch, node, _)| (ch, node));
-        let mut start = 0;
-        while start < self.by_channel.len() {
-            let channel = self.by_channel[start].0;
-            let mut end = start;
-            while end < self.by_channel.len() && self.by_channel[end].0 == channel {
-                end += 1;
-            }
-            let mut act = empty_channel_record();
-            act.channel = channel;
-            for &(_, node, is_broadcast) in &self.by_channel[start..end] {
-                if is_broadcast {
-                    act.broadcasters.push(NodeId(node as u32));
-                } else {
-                    act.listeners.push(NodeId(node as u32));
-                }
-            }
-            activity.channels.push(act);
-            start = end;
         }
     }
 
@@ -501,6 +493,56 @@ pub fn recommended_rounds(n_max: usize) -> u64 {
     8 * e * e + 8
 }
 
+/// One exponential-decay backoff episode (footnote 4) among `m`
+/// contenders on a collision-as-silence radio, under a budget of
+/// `max_rounds` rounds: the single decay kernel behind
+/// [`PhysicalDecay`] and the `crn-backoff` experiments.
+///
+/// In round `j` of an epoch of [`epoch_len`]`(n_max)` rounds every
+/// contender transmits with probability `2^{-j}` — one `gen_bool` draw
+/// per contender, every round. The first round with exactly one
+/// transmitter ends the episode: everyone else received its message.
+/// Returns that contender's index and the rounds used, or `None` if the
+/// budget ran out (always so for `m == 0`).
+///
+/// # Examples
+///
+/// ```
+/// use crn_sim::medium::{decay_episode, recommended_rounds};
+/// use crn_sim::SimRng;
+/// use rand::SeedableRng;
+///
+/// let mut rng = SimRng::seed_from_u64(1);
+/// // A lone contender transmits with probability 1 in round 0.
+/// assert_eq!(decay_episode(1, 16, recommended_rounds(16), &mut rng), Some((0, 1)));
+/// let (winner, rounds) = decay_episode(5, 16, recommended_rounds(16), &mut rng).unwrap();
+/// assert!(winner < 5 && rounds >= 2);
+/// ```
+pub fn decay_episode(
+    m: usize,
+    n_max: usize,
+    max_rounds: u64,
+    rng: &mut SimRng,
+) -> Option<(usize, u64)> {
+    let epoch = epoch_len(n_max) as u64;
+    for round in 0..max_rounds {
+        let j = (round % epoch) as i32;
+        let p = 0.5f64.powi(j);
+        let mut transmitters = 0;
+        let mut last = 0;
+        for i in 0..m {
+            if rng.gen_bool(p) {
+                transmitters += 1;
+                last = i;
+            }
+        }
+        if transmitters == 1 {
+            return Some((last, round + 1));
+        }
+    }
+    None
+}
+
 /// The footnote-4 physical realization: no collision oracle anywhere.
 ///
 /// Every abstract slot expands into one fixed-length exponential-decay
@@ -521,7 +563,8 @@ pub fn recommended_rounds(n_max: usize) -> u64 {
 /// what winning feels like on this radio). The channel records no
 /// winner and [`PhysicalDecay::failed_episodes`] increments.
 ///
-/// All randomness comes from the dedicated `PHYSICAL` stream
+/// Each episode is one [`decay_episode`] call, channels in ascending
+/// order; all randomness comes from the dedicated `PHYSICAL` stream
 /// (docs/RNG_STREAMS.md), never from the oracle's `ENGINE` stream.
 #[derive(Debug)]
 pub struct PhysicalDecay {
@@ -529,14 +572,7 @@ pub struct PhysicalDecay {
     physical_rounds: u64,
     failed_episodes: u64,
     rounds_per_slot: u64,
-    /// Scratch: `tuned` re-sorted by `(channel, node)`.
-    by_channel: Vec<(GlobalChannel, usize, bool)>,
-    /// Scratch: per-broadcaster transmit flags within an episode.
-    tx: Vec<bool>,
-    /// Scratch: per node, the winning node on its channel (if any).
-    winners: Vec<Option<usize>>,
-    /// Scratch: per node, whether its channel's episode failed.
-    failed: Vec<bool>,
+    records: ChannelRecords,
 }
 
 impl Default for PhysicalDecay {
@@ -546,10 +582,7 @@ impl Default for PhysicalDecay {
             physical_rounds: 0,
             failed_episodes: 0,
             rounds_per_slot: 0,
-            by_channel: Vec::new(),
-            tx: Vec::new(),
-            winners: Vec::new(),
-            failed: Vec::new(),
+            records: ChannelRecords::default(),
         }
     }
 }
@@ -596,114 +629,22 @@ impl<M: Clone> Medium<M> for PhysicalDecay {
         // any one channel's episode succeeds.
         self.rounds_per_slot = recommended_rounds(inputs.n);
         self.physical_rounds += self.rounds_per_slot;
-        let epoch = epoch_len(inputs.n) as u64;
 
-        self.by_channel.clear();
-        self.by_channel.extend_from_slice(inputs.tuned);
-        self.by_channel
-            .sort_unstable_by_key(|&(ch, node, _)| (ch, node));
-        self.winners.clear();
-        self.winners.resize(inputs.n, None);
-        self.failed.clear();
-        self.failed.resize(inputs.n, false);
-
-        activity.channels.clear();
-        let mut start = 0;
-        while start < self.by_channel.len() {
-            let channel = self.by_channel[start].0;
-            let mut end = start;
-            while end < self.by_channel.len() && self.by_channel[end].0 == channel {
-                end += 1;
+        // One decay episode per channel with broadcasters, ascending
+        // channel order on the PHYSICAL stream.
+        let channels = &mut activity.channels;
+        self.records.build(inputs, channels);
+        for act in channels.iter_mut() {
+            if act.broadcasters.is_empty() {
+                continue;
             }
-            let group = &self.by_channel[start..end];
-            let mut act = empty_channel_record();
-            act.channel = channel;
-            for &(_, node, is_broadcast) in group {
-                if is_broadcast {
-                    act.broadcasters.push(NodeId(node as u32));
-                } else {
-                    act.listeners.push(NodeId(node as u32));
-                }
+            let m = act.broadcasters.len();
+            match decay_episode(m, inputs.n, self.rounds_per_slot, &mut self.rng) {
+                Some((i, _)) => act.winner = Some(act.broadcasters[i]),
+                None => self.failed_episodes += 1,
             }
-            // One decay episode among this channel's broadcasters.
-            let winner = if act.broadcasters.is_empty() {
-                None
-            } else {
-                let m = act.broadcasters.len();
-                self.tx.clear();
-                self.tx.resize(m, false);
-                let mut won = None;
-                for round in 0..self.rounds_per_slot {
-                    let j = (round % epoch) as i32;
-                    let p = 0.5f64.powi(j).min(1.0);
-                    for t in self.tx.iter_mut() {
-                        *t = self.rng.gen_bool(p);
-                    }
-                    // A lone transmission ends the episode: everyone
-                    // else received it and aborts.
-                    let mut lone = None;
-                    let mut count = 0;
-                    for (i, &t) in self.tx.iter().enumerate() {
-                        if t {
-                            count += 1;
-                            lone = Some(i);
-                        }
-                    }
-                    if count == 1 {
-                        won = lone;
-                        break;
-                    }
-                }
-                if won.is_none() {
-                    self.failed_episodes += 1;
-                    for &(_, node, _) in group {
-                        self.failed[node] = true;
-                    }
-                }
-                won.map(|i| act.broadcasters[i].index())
-            };
-            act.winner = winner.map(|i| NodeId(i as u32));
-            for &(_, node, _) in group {
-                self.winners[node] = winner;
-            }
-            activity.channels.push(act);
-            start = end;
         }
-
-        // Events, ascending node order.
-        for &(_, i, is_broadcast) in inputs.tuned {
-            events[i] = Some(if is_broadcast {
-                match self.winners[i] {
-                    Some(w) if w == i => Event::Delivered,
-                    Some(w) => {
-                        let Action::Broadcast(_, msg) = &inputs.actions[w] else {
-                            unreachable!("winner must have broadcast")
-                        };
-                        Event::Lost {
-                            winner: NodeId(w as u32),
-                            msg: msg.clone(),
-                        }
-                    }
-                    // Failed episode: this broadcaster heard nothing
-                    // all episode, which is indistinguishable from
-                    // winning on this radio.
-                    None => Event::Delivered,
-                }
-            } else {
-                match self.winners[i] {
-                    Some(w) => {
-                        let Action::Broadcast(_, msg) = &inputs.actions[w] else {
-                            unreachable!("winner must have broadcast")
-                        };
-                        Event::Received {
-                            from: NodeId(w as u32),
-                            msg: msg.clone(),
-                        }
-                    }
-                    None => Event::Silence,
-                }
-            });
-        }
+        self.records.deliver(inputs, channels, events);
     }
 
     fn profile(&self) -> MediumProfile {
@@ -749,6 +690,63 @@ mod tests {
         assert_eq!(epoch_len(0), 1);
         assert_eq!(epoch_len(2), 2);
         assert_eq!(epoch_len(1024), 11);
+    }
+
+    /// The round-by-round episode the kernel replaces: a transmit flag
+    /// per contender per round, then the radio's verdict — silence,
+    /// collision, or a lone transmission that wins.
+    fn reference_episode(
+        m: usize,
+        n_max: usize,
+        max_rounds: u64,
+        rng: &mut SimRng,
+    ) -> Option<(usize, u64)> {
+        let epoch = epoch_len(n_max) as u64;
+        let mut tx = vec![false; m];
+        for round in 0..max_rounds {
+            let p = 0.5f64.powf((round % epoch) as f64);
+            for t in tx.iter_mut() {
+                *t = rng.gen_bool(p);
+            }
+            let on_air: Vec<usize> = (0..m).filter(|&i| tx[i]).collect();
+            if let [lone] = on_air[..] {
+                return Some((lone, round + 1));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn decay_episode_matches_round_by_round_reference() {
+        use rand::SeedableRng;
+        let mut outcomes = [0usize; 2];
+        for seed in 0..300u64 {
+            let m = (seed % 20) as usize;
+            let (n_max, budget) = (16, 1 + seed % 12);
+            let mut kernel_rng = SimRng::seed_from_u64(seed);
+            let mut reference_rng = SimRng::seed_from_u64(seed);
+            let got = decay_episode(m, n_max, budget, &mut kernel_rng);
+            let want = reference_episode(m, n_max, budget, &mut reference_rng);
+            assert_eq!(got, want, "m={m} budget={budget} seed={seed}");
+            // Same RNG consumption: the streams stay in step.
+            assert_eq!(kernel_rng.gen::<u64>(), reference_rng.gen::<u64>());
+            outcomes[got.is_some() as usize] += 1;
+        }
+        assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
+    }
+
+    #[test]
+    fn decay_episode_edge_cases() {
+        use rand::SeedableRng;
+        let mut rng = SimRng::seed_from_u64(3);
+        // Nobody contends: silence every round, the budget runs out.
+        assert_eq!(decay_episode(0, 8, 50, &mut rng), None);
+        // A lone contender transmits with probability 1 in round 0.
+        assert_eq!(decay_episode(1, 8, 50, &mut rng), Some((0, 1)));
+        // Two or more always collide in round 0, so they need round 2+.
+        let (winner, rounds) = decay_episode(2, 8, 1_000, &mut rng).unwrap();
+        assert!(winner < 2 && rounds >= 2);
+        assert_eq!(decay_episode(2, 8, 1, &mut rng), None);
     }
 
     #[test]

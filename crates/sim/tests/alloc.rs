@@ -4,7 +4,8 @@
 //! warm-up period long enough for every scratch buffer and recycled
 //! [`ChannelActivity`] record to reach its high-water capacity, stepping
 //! the network must perform zero heap allocations — with and without an
-//! interference model installed.
+//! interference model installed, on the parallel path, and on all three
+//! media.
 //!
 //! This file intentionally contains a single `#[test]` so no concurrent
 //! test can allocate while the counter is being read.
@@ -18,7 +19,10 @@ use crn_sim::assignment::shared_core;
 use crn_sim::channel_model::StaticChannels;
 use crn_sim::interference::Interference;
 use crn_sim::rng::SimRng;
-use crn_sim::{Action, Event, GlobalChannel, LocalChannel, Network, NodeCtx, NodeId, Protocol};
+use crn_sim::{
+    Action, Event, GlobalChannel, LocalChannel, Network, NodeCtx, NodeId, OracleMultihop,
+    PhysicalDecay, Protocol, Topology,
+};
 use rand::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,6 +73,25 @@ impl Protocol<u8> for Hopper {
             self.informed = true;
         }
     }
+}
+
+/// Broadcasts or listens with equal odds on a uniformly random local
+/// channel, forever: unlike [`Hopper`], which ends with everyone
+/// broadcasting, it keeps contention, deliveries and idle listeners in
+/// every slot of the steady state.
+struct Chatter;
+
+impl Protocol<u8> for Chatter {
+    fn decide(&mut self, ctx: &NodeCtx<'_>, rng: &mut SimRng) -> Action<u8> {
+        let ch = LocalChannel(rng.gen_range(0..ctx.c as u32));
+        if rng.gen_bool(0.5) {
+            Action::Broadcast(ch, 0xCD)
+        } else {
+            Action::Listen(ch)
+        }
+    }
+
+    fn observe(&mut self, _ctx: &NodeCtx<'_>, _event: Event<u8>) {}
 }
 
 /// Jams one (node, channel) pair every other slot, so the interference
@@ -154,5 +177,29 @@ fn step_is_allocation_free_in_steady_state() {
             par_net.step();
         },
         "parallel (2 workers)",
+    );
+
+    // The other two media: decay episodes on the physical medium, and
+    // per-receiver draws on the multihop oracle over an incomplete
+    // topology. Both fill the same recycled channel records as the
+    // default oracle.
+    let chatter = |n: usize| (0..n).map(|_| Chatter).collect::<Vec<_>>();
+    let model = StaticChannels::local(shared_core(n, 8, 2).unwrap(), 14);
+    let mut phys_net = Network::with_medium(model, chatter(n), 14, PhysicalDecay::new()).unwrap();
+    assert_steady_state_alloc_free(
+        || {
+            phys_net.step();
+        },
+        "physical decay",
+    );
+
+    let model = StaticChannels::local(shared_core(n, 8, 2).unwrap(), 15);
+    let grid = OracleMultihop::new(Topology::grid(8, 8));
+    let mut grid_net = Network::with_medium(model, chatter(n), 15, grid).unwrap();
+    assert_steady_state_alloc_free(
+        || {
+            grid_net.step();
+        },
+        "multihop on an 8x8 grid",
     );
 }

@@ -28,17 +28,7 @@ fn physical_stack_and_oracle_model_agree_on_slot_scale() {
             .slots
             .unwrap();
 
-        let sets: Vec<Vec<u32>> = (0..n)
-            .map(|i| {
-                shared_core(n, c, k)
-                    .unwrap()
-                    .channels_of(i)
-                    .iter()
-                    .map(|g| g.0)
-                    .collect()
-            })
-            .collect();
-        let run = run_physical_broadcast(&sets, seed, 10_000_000).unwrap();
+        let run = run_physical_broadcast(&shared_core(n, c, k).unwrap(), seed, 10_000_000);
         assert!(run.completed());
         assert_eq!(run.failed_episodes, 0);
         physical_total += run.slots.unwrap();
