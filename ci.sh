@@ -8,14 +8,18 @@
 #      --locked so a dependency change that would rewrite Cargo.lock
 #      fails here
 #   2. the full test suite                           (tier-1)
-#   3. rustfmt in check mode
+#   3. rustfmt in check mode, plus a guard that rand's StdRng is used
+#      nowhere outside crates/stats (one RNG family: crn_sim::SimRng;
+#      crn-sim's rng.rs keeps the one cross-check against StdRng)
 #   4. clippy across the workspace with -D warnings
 #   5. a quick-effort end-to-end run of every experiment (smoke test
 #      for the harness + engine on real workloads; ~1 s)
 #   6. the differential model-conformance suite, quick profile (the
 #      Section 2 validator over property-generated workloads plus the
-#      oracle-vs-physical and oracle-vs-multihop cross-checks, and the
-#      medium sweep running the validator over all three media) — run
+#      oracle-vs-physical-stack and oracle-vs-multihop-medium
+#      cross-checks, the latter COGCAST through run_broadcast_on over
+#      OracleMultihop on a complete topology, and the medium sweep
+#      running the validator over all three media) — run
 #      twice, under CRN_THREADS=1 (sequential stepping) and
 #      CRN_THREADS=4 (every network fanned across the worker pool), so
 #      the parallel decide/observe phases face the same contract and
@@ -48,6 +52,15 @@ cargo test -q --workspace
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> one RNG family (no rand::rngs::StdRng outside crates/stats)"
+# crn-stats stays on StdRng: moving it would add a crn-sim dependency
+# and rewrite perfbench/Cargo.lock.
+if grep -rn 'rngs::StdRng' crates src tests examples --include='*.rs' \
+    | grep -v -e '^crates/stats/' -e '^crates/sim/src/rng.rs:'; then
+    echo "ci.sh: use crn_sim::SimRng instead of rand::rngs::StdRng" >&2
+    exit 1
+fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -47,7 +47,11 @@ pub struct PhysicalRun {
     /// Rounds in one abstract slot (the fixed episode length `R`).
     pub rounds_per_slot: u64,
     /// Channel-episodes with listeners that ended without a lone
-    /// transmission.
+    /// transmission. A failed episode on a channel where every node
+    /// transmits is not counted (nobody could have been informed), so
+    /// this is not the same quantity as
+    /// [`crn_sim::PhysicalDecay::failed_episodes`], which counts every
+    /// episode without a lone transmission.
     pub failed_episodes: u64,
     /// Informed count after each abstract slot.
     pub informed_per_slot: Vec<usize>,

@@ -22,7 +22,7 @@ use crn_rendezvous::broadcast::run_baseline_broadcast;
 use crn_rendezvous::hop_together::run_hop_together;
 use crn_sim::assignment::{full_overlap, shared_core, OverlapPattern};
 use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
-use rand::rngs::StdRng;
+use crn_sim::rng::SimRng;
 use rand::SeedableRng;
 
 const BUDGET: u64 = 50_000_000;
@@ -77,7 +77,7 @@ fn bench_tables(cr: &mut Criterion) {
 
     cr.bench_function("t3_hitting_game", |b| {
         b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(next());
+            let mut rng = SimRng::seed_from_u64(next());
             let mut game = HittingGame::new(32, 4, &mut rng);
             let mut player = FreshPlayer::new(32);
             black_box(play(&mut game, &mut player, 10_000, &mut rng))
@@ -204,15 +204,13 @@ fn bench_ablations(cr: &mut Criterion) {
     });
 
     cr.bench_function("f15_multihop_flood", |b| {
-        use crn_multihop::{run_flood, Topology};
+        use crn_core::cogcast::run_broadcast_on;
+        use crn_sim::{OracleMultihop, Topology};
         b.iter(|| {
             let s = next();
             let model = StaticChannels::local(shared_core(16, 4, 2).unwrap(), s);
-            black_box(
-                run_flood(Topology::grid(4, 4), model, s, BUDGET)
-                    .unwrap()
-                    .slots,
-            )
+            let medium = OracleMultihop::new(Topology::grid(4, 4));
+            black_box(run_broadcast_on(model, s, BUDGET, medium).unwrap().0.slots)
         })
     });
 
@@ -263,7 +261,7 @@ fn bench_figures(cr: &mut Criterion) {
     cr.bench_function("f7_overlap_patterns", |b| {
         b.iter(|| {
             let s = next();
-            let mut rng = StdRng::seed_from_u64(s);
+            let mut rng = SimRng::seed_from_u64(s);
             let a = OverlapPattern::Clustered
                 .generate(64, 12, 3, &mut rng)
                 .unwrap();
@@ -301,7 +299,7 @@ fn bench_figures(cr: &mut Criterion) {
     });
     cr.bench_function("f11_game_survival", |b| {
         b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(next());
+            let mut rng = SimRng::seed_from_u64(next());
             let mut game = HittingGame::complete(30, &mut rng);
             let mut player = FreshPlayer::new(30);
             black_box(play(&mut game, &mut player, 10_000, &mut rng))

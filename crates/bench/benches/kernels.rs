@@ -218,12 +218,12 @@ fn write_engine_baseline() {
 /// Channel-assignment generation cost across patterns.
 fn bench_assignment(cr: &mut Criterion) {
     use crn_sim::assignment::OverlapPattern;
-    use rand::rngs::StdRng;
+    use crn_sim::rng::SimRng;
     use rand::SeedableRng;
     let mut g = cr.benchmark_group("assignment");
     for pattern in OverlapPattern::ALL {
         g.bench_function(pattern.name(), |b| {
-            let mut rng = StdRng::seed_from_u64(3);
+            let mut rng = SimRng::seed_from_u64(3);
             b.iter(|| black_box(pattern.generate(128, 16, 4, &mut rng).unwrap().n()));
         });
     }
@@ -233,13 +233,13 @@ fn bench_assignment(cr: &mut Criterion) {
 /// Matching sampling and game rounds for the lower-bound machinery.
 fn bench_games(cr: &mut Criterion) {
     use crn_lowerbounds::{Edge, HittingGame};
-    use rand::rngs::StdRng;
+    use crn_sim::rng::SimRng;
     use rand::SeedableRng;
     cr.bench_function("game_setup_and_64_proposals", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let mut game = HittingGame::new(64, 8, &mut rng);
             for a in 0..8u32 {
                 for bb in 0..8u32 {

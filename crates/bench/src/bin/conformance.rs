@@ -14,8 +14,8 @@
 //!    on the abstract collision oracle and on the decay-backoff radio
 //!    (footnote 4): both must complete, and abstract-slot counts must
 //!    agree within a band (extending experiment F14).
-//! 3. **Oracle vs multihop engine** — the same workload on the
-//!    single-hop oracle and the multihop engine over a complete
+//! 3. **Oracle vs multihop medium** — the same workload on the
+//!    single-hop oracle and the multihop medium over a complete
 //!    topology: both must complete within their budgets with agreeing
 //!    slot counts (extending experiment F15).
 //! 4. **Medium sweep** — COGCAST workloads driven over every
@@ -31,16 +31,15 @@
 
 use crn_backoff::stack::run_physical_broadcast;
 use crn_core::bounds::{cogcast_slots, DEFAULT_ALPHA};
-use crn_core::cogcast::{run_broadcast, CogCast};
+use crn_core::cogcast::{run_broadcast, run_broadcast_on, CogCast};
 use crn_jamming::{JammerStrategy, UniformJammer};
-use crn_multihop::{run_flood, Topology};
 use crn_sim::assignment::{shared_core, OverlapPattern};
 use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
 use crn_sim::conformance::{replay_winners, report, Violation};
 use crn_sim::rng::{derive_rng, streams};
 use crn_sim::{
     ChannelModel, FaultSchedule, Flaky, Medium, Network, OracleMultihop, OracleSingleHop,
-    PhysicalDecay, Protocol, SlotActivity,
+    PhysicalDecay, Protocol, SlotActivity, Topology,
 };
 use rand::Rng;
 use std::process::ExitCode;
@@ -330,7 +329,7 @@ fn oracle_vs_physical(workloads: u64, trials: u64) -> usize {
     failures
 }
 
-/// Part 3: oracle vs the multihop engine on a complete topology (one
+/// Part 3: oracle vs the multihop medium on a complete topology (one
 /// hop, so slot counts must agree). Returns the number of divergent
 /// workloads.
 fn oracle_vs_multihop(workloads: u64, trials: u64) -> usize {
@@ -354,8 +353,10 @@ fn oracle_vs_multihop(workloads: u64, trials: u64) -> usize {
             let oracle = run_broadcast(model.clone(), trial_seed, budget)
                 .expect("construct")
                 .slots;
-            let flood = run_flood(Topology::complete(n), model, trial_seed, ORACLE_BUDGET)
+            let medium = OracleMultihop::new(Topology::complete(n));
+            let flood = run_broadcast_on(model, trial_seed, ORACLE_BUDGET, medium)
                 .expect("construct")
+                .0
                 .slots;
             match (oracle, flood) {
                 (Some(o), Some(f)) => {

@@ -256,9 +256,9 @@ mod tests {
         // produce byte-identical results in seed order: trials are
         // keyed by seed, never by scheduling.
         let f = |seed: u64| {
-            use rand::rngs::StdRng;
+            use crn_sim::rng::SimRng;
             use rand::{Rng, SeedableRng};
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             (seed, rng.gen::<u64>())
         };
         let reference = par_trials_with_workers(23, 1, f);

@@ -2,7 +2,7 @@
 
 use crate::effort::{mean_slots, Effort};
 use crn_backoff::decay::mean_rounds_per_slot;
-use crn_core::cogcast::run_broadcast;
+use crn_core::cogcast::{run_broadcast, run_broadcast_on};
 use crn_jamming::{run_jammed_broadcast, JammerStrategy};
 use crn_rendezvous::hop_together::run_hop_together;
 use crn_sim::assignment::shared_core;
@@ -292,7 +292,7 @@ pub fn f16(effort: Effort) -> Table {
 /// diameter at fixed `n` (the message pays one single-hop epoch per
 /// hop, so completion tracks the diameter).
 pub fn f15(effort: Effort) -> Table {
-    use crn_multihop::{run_flood, Topology};
+    use crn_sim::{OracleMultihop, Topology};
     let (n, c, k) = (16usize, 4usize, 2usize);
     let trials = effort.trials(15);
     let mut t = Table::new(
@@ -309,10 +309,10 @@ pub fn f15(effort: Effort) -> Table {
         let diameter = topo.diameter().expect("connected");
         let mean = mean_slots(trials, |seed| {
             let model = StaticChannels::local(shared_core(n, c, k).expect("valid"), seed);
-            run_flood(topo.clone(), model, seed, MEASURE_BUDGET)
-                .expect("construct")
-                .slots
-                .expect("completes")
+            let medium = OracleMultihop::new(topo.clone());
+            let (run, _) =
+                run_broadcast_on(model, seed, MEASURE_BUDGET, medium).expect("construct");
+            run.slots.expect("completes")
         });
         t.push_row(vec![
             name.to_string(),

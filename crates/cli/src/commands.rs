@@ -4,17 +4,17 @@
 use crate::args::Opts;
 use crn_core::aggregate::{Count, Max, MeanAcc, Min, Sum};
 use crn_core::bounds;
-use crn_core::cogcast::run_broadcast;
+use crn_core::cogcast::{run_broadcast, run_broadcast_on};
 use crn_core::cogcomp::run_aggregation;
 use crn_jamming::{run_jammed_broadcast, JammerStrategy};
 use crn_lowerbounds::players::{play, FreshPlayer, Player, UniformPlayer};
 use crn_lowerbounds::HittingGame;
-use crn_multihop::{run_flood, Topology};
 use crn_rendezvous::deterministic::jump_stay_rendezvous_slots;
 use crn_rendezvous::pairwise::rendezvous_slots;
 use crn_sim::assignment::OverlapPattern;
 use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
 use crn_sim::rng::derive_rng;
+use crn_sim::{OracleMultihop, Topology};
 use crn_stats::Summary;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -119,13 +119,12 @@ fn medium_by_name(name: &str) -> Result<MediumChoice, String> {
 
 /// Runs COGCAST over the chosen medium; accumulates physical-round
 /// counts into `physical_rounds` when the medium is `physical`.
-fn broadcast_on_medium<CM: crn_sim::ChannelModel + Sync>(
+fn broadcast_on_medium<CM: crn_sim::ChannelModel>(
     model: CM,
     seed: u64,
     medium: MediumChoice,
     physical_rounds: &mut u64,
 ) -> Result<crn_core::cogcast::BroadcastRun, String> {
-    use crn_core::cogcast::run_broadcast_on;
     let n = model.n();
     match medium {
         MediumChoice::Oracle => run_broadcast(model, seed, BUDGET).map_err(|e| e.to_string()),
@@ -133,7 +132,7 @@ fn broadcast_on_medium<CM: crn_sim::ChannelModel + Sync>(
             model,
             seed,
             BUDGET,
-            crn_sim::OracleMultihop::new(crn_sim::Topology::complete(n)),
+            OracleMultihop::new(Topology::complete(n)),
         )
         .map(|(run, _)| run)
         .map_err(|e| e.to_string()),
@@ -339,7 +338,8 @@ pub fn flood(opts: &Opts) -> Result<String, String> {
     for t in 0..trials as u64 {
         let s = seed.wrapping_add(t);
         let a = crn_sim::assignment::shared_core(n, c, k).map_err(|e| e.to_string())?;
-        let run = run_flood(topo.clone(), StaticChannels::local(a, s), s, BUDGET)
+        let medium = OracleMultihop::new(topo.clone());
+        let (run, _) = run_broadcast_on(StaticChannels::local(a, s), s, BUDGET, medium)
             .map_err(|e| e.to_string())?;
         slots.push(run.slots.ok_or("flood did not complete")?);
     }
@@ -364,7 +364,7 @@ pub fn game(opts: &Opts) -> Result<String, String> {
     }
     let mut rounds = Vec::new();
     for t in 0..trials as u64 {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(t));
+        let mut rng = crn_sim::SimRng::seed_from_u64(seed.wrapping_add(t));
         let mut game = HittingGame::new(c, k, &mut rng);
         let won = match player_name.as_str() {
             "uniform" => {
@@ -396,11 +396,11 @@ pub fn game(opts: &Opts) -> Result<String, String> {
 fn play_boxed(
     game: &mut HittingGame,
     player: &mut dyn Player,
-    rng: &mut rand::rngs::StdRng,
+    rng: &mut crn_sim::SimRng,
 ) -> Option<u64> {
     struct DynPlayer<'a>(&'a mut dyn Player);
     impl Player for DynPlayer<'_> {
-        fn next_proposal(&mut self, rng: &mut rand::rngs::StdRng) -> crn_lowerbounds::Edge {
+        fn next_proposal(&mut self, rng: &mut crn_sim::SimRng) -> crn_lowerbounds::Edge {
             self.0.next_proposal(rng)
         }
     }
@@ -485,10 +485,11 @@ pub fn monitor(opts: &Opts) -> Result<String, String> {
     use crn_core::cogcomp::run_repeated_aggregation;
     opts.expect_keys(
         "monitor",
-        &["n", "c", "k", "seed", "trials", "rounds", "op", "threads"],
+        &["n", "c", "k", "seed", "rounds", "op", "threads"],
     )?;
     init_threads(opts)?;
-    let (n, c, k, seed, _trials) = shape(opts)?;
+    // One run over one tree: monitor takes no --trials.
+    let (n, c, k, seed, _) = shape(opts)?;
     let rounds = opts.get("rounds", 5usize)?;
     let op = opts.get_str("op", "max");
     if rounds == 0 {
@@ -620,7 +621,7 @@ mod tests {
     #[test]
     fn zero_trials_rejected_by_every_trial_taking_command() {
         type Command = fn(&Opts) -> Result<String, String>;
-        let commands: [(&str, Command); 8] = [
+        let commands: [(&str, Command); 7] = [
             ("broadcast", broadcast),
             ("aggregate", aggregate),
             ("rendezvous", rendezvous),
@@ -628,7 +629,6 @@ mod tests {
             ("game", game),
             ("jam", jam),
             ("backoff", backoff),
-            ("monitor", monitor),
         ];
         for (name, command) in commands {
             let err = command(&opts(&["--trials", "0"])).expect_err(name);
@@ -766,6 +766,14 @@ mod tests {
         assert!(!out.contains("MISMATCH"), "{out}");
         assert!(monitor(&opts(&["--rounds", "0"])).is_err());
         assert!(monitor(&opts(&["--op", "sum"])).is_err());
+    }
+
+    #[test]
+    fn monitor_rejects_trials_flag() {
+        // It runs once over one tree; an accepted-but-ignored --trials
+        // would silently print the same report.
+        let err = monitor(&opts(&["--n", "12", "--c", "4", "--trials", "7"])).unwrap_err();
+        assert!(err.contains("unknown flag --trials"), "{err}");
     }
 
     #[test]

@@ -230,7 +230,9 @@ impl<M: Clone + std::fmt::Debug> Protocol<M> for CogCast<M> {
     }
 }
 
-/// Per-run statistics of a COGCAST execution.
+/// Per-run statistics of a broadcast: the one result type of every
+/// broadcast runner (COGCAST on any medium, under jamming, or the
+/// rendezvous baseline), produced by [`drive_broadcast`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BroadcastRun {
     /// Slots until every node was informed, or `None` if the budget ran
@@ -309,7 +311,7 @@ impl BroadcastRun {
 /// assert!(run.completed());
 /// # Ok::<(), crn_sim::SimError>(())
 /// ```
-pub fn run_broadcast<CM: crn_sim::ChannelModel + Sync>(
+pub fn run_broadcast<CM: crn_sim::ChannelModel>(
     model: CM,
     seed: u64,
     budget: u64,
@@ -324,11 +326,15 @@ pub fn run_broadcast<CM: crn_sim::ChannelModel + Sync>(
 /// can be read back.
 ///
 /// With [`crn_sim::OracleSingleHop`] this is trace-identical to
-/// [`run_broadcast`].
+/// [`run_broadcast`]. With [`crn_sim::OracleMultihop`] it is the
+/// multi-hop flood: unchanged, COGCAST crosses the topology at a cost
+/// that scales with its diameter (experiment F15).
 ///
 /// # Errors
 ///
-/// Propagates [`crn_sim::SimError`] from network construction.
+/// Propagates [`crn_sim::SimError`] from network construction,
+/// including a medium built for a different node count than `model`
+/// (a topology of the wrong size).
 ///
 /// # Examples
 ///
@@ -336,12 +342,16 @@ pub fn run_broadcast<CM: crn_sim::ChannelModel + Sync>(
 /// use crn_core::cogcast::run_broadcast_on;
 /// use crn_sim::assignment::shared_core;
 /// use crn_sim::channel_model::StaticChannels;
-/// use crn_sim::PhysicalDecay;
+/// use crn_sim::{OracleMultihop, PhysicalDecay, Topology};
 ///
 /// let model = StaticChannels::local(shared_core(8, 4, 2)?, 3);
-/// let (run, medium) = run_broadcast_on(model, 3, 10_000, PhysicalDecay::new())?;
+/// let (run, medium) = run_broadcast_on(model.clone(), 3, 10_000, PhysicalDecay::new())?;
 /// assert!(run.completed());
 /// assert!(medium.physical_rounds() > 0);
+///
+/// // A flood across a ring of the same 8 nodes.
+/// let (flood, _) = run_broadcast_on(model, 3, 100_000, OracleMultihop::new(Topology::ring(8)))?;
+/// assert!(flood.completed());
 /// # Ok::<(), crn_sim::SimError>(())
 /// ```
 pub fn run_broadcast_on<CM, Med>(
@@ -351,7 +361,7 @@ pub fn run_broadcast_on<CM, Med>(
     medium: Med,
 ) -> Result<(BroadcastRun, Med), crn_sim::SimError>
 where
-    CM: crn_sim::ChannelModel + Sync,
+    CM: crn_sim::ChannelModel,
     Med: crn_sim::Medium<()>,
 {
     let n = model.n();
@@ -359,24 +369,62 @@ where
     protos.push(CogCast::source(()));
     protos.extend((1..n).map(|_| CogCast::node()));
     let mut net = crn_sim::Network::with_medium(model, protos, seed, medium)?;
+    let run = drive_broadcast(&mut net, budget);
+    Ok((run, net.into_medium()))
+}
 
+/// Steps `net` until every node is done or `budget` slots elapse,
+/// recording the done count after each slot: the one broadcast loop
+/// behind every broadcast runner. For COGCAST and the rendezvous
+/// baseline "done" is "informed", so the curve is the epidemic curve.
+///
+/// Reads the engine's per-slot done tally ([`crn_sim::Network::done_count`])
+/// instead of rescanning the protocols each slot.
+///
+/// # Examples
+///
+/// ```
+/// use crn_core::cogcast::{drive_broadcast, CogCast};
+/// use crn_sim::assignment::shared_core;
+/// use crn_sim::channel_model::StaticChannels;
+/// use crn_sim::Network;
+///
+/// let model = StaticChannels::local(shared_core(8, 4, 2)?, 5);
+/// let mut protos = vec![CogCast::source("v2")];
+/// protos.extend((1..8).map(|_| CogCast::node()));
+/// let mut net = Network::new(model, protos, 5)?;
+/// let run = drive_broadcast(&mut net, 10_000);
+/// assert_eq!(run.slots, Some(net.slot()));
+/// assert_eq!(run.informed_per_slot.last(), Some(&8));
+/// # Ok::<(), crn_sim::SimError>(())
+/// ```
+pub fn drive_broadcast<M, P, CM, Med>(
+    net: &mut crn_sim::Network<M, P, CM, Med>,
+    budget: u64,
+) -> BroadcastRun
+where
+    M: Clone,
+    P: Protocol<M>,
+    CM: crn_sim::ChannelModel,
+    Med: crn_sim::Medium<M>,
+{
+    let n = net.protocols().len();
     let mut informed_per_slot = Vec::new();
     let mut slots = None;
     for s in 0..budget {
         net.step();
-        let informed = net.protocols().iter().filter(|p| p.is_informed()).count();
+        let informed = net.done_count();
         informed_per_slot.push(informed);
         if informed == n {
             slots = Some(s + 1);
             break;
         }
     }
-    let run = BroadcastRun {
+    BroadcastRun {
         slots,
         budget,
         informed_per_slot,
-    };
-    Ok((run, net.into_medium()))
+    }
 }
 
 /// Convenience: runs COGCAST with the Theorem 4 budget sized by
@@ -385,7 +433,7 @@ where
 /// # Errors
 ///
 /// Propagates [`crn_sim::SimError`] from network construction.
-pub fn run_broadcast_default<CM: crn_sim::ChannelModel + Sync>(
+pub fn run_broadcast_default<CM: crn_sim::ChannelModel>(
     model: CM,
     seed: u64,
     alpha: f64,
@@ -401,11 +449,7 @@ mod tests {
     use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
     use crn_sim::Network;
 
-    fn complete_on(
-        model: impl crn_sim::ChannelModel + Sync,
-        seed: u64,
-        budget: u64,
-    ) -> BroadcastRun {
+    fn complete_on(model: impl crn_sim::ChannelModel, seed: u64, budget: u64) -> BroadcastRun {
         run_broadcast(model, seed, budget).unwrap()
     }
 

@@ -71,7 +71,7 @@ impl<V> AggregationRun<V> {
 /// assert_eq!(run.result, Some(Sum((0..12).sum())));
 /// # Ok::<(), crn_sim::SimError>(())
 /// ```
-pub fn run_aggregation<CM: ChannelModel + Sync, V: Aggregate>(
+pub fn run_aggregation<CM: ChannelModel, V: Aggregate>(
     model: CM,
     values: Vec<V>,
     seed: u64,
@@ -96,7 +96,7 @@ pub fn run_aggregation_on<CM, V, Med>(
     medium: Med,
 ) -> Result<(AggregationRun<V>, Med), SimError>
 where
-    CM: ChannelModel + Sync,
+    CM: ChannelModel,
     V: Aggregate,
     Med: crn_sim::Medium<CogCompMsg<V>>,
 {
@@ -114,7 +114,7 @@ where
 /// Returns [`SimError::InvalidParams`] if `values.len()` differs from
 /// the model's node count or `cfg` disagrees with the model's shape,
 /// and propagates network construction errors.
-pub fn run_aggregation_cfg<CM: ChannelModel + Sync, V: Aggregate>(
+pub fn run_aggregation_cfg<CM: ChannelModel, V: Aggregate>(
     model: CM,
     values: Vec<V>,
     seed: u64,
@@ -155,7 +155,7 @@ pub fn run_aggregation_cfg_on<CM, V, Med>(
     medium: Med,
 ) -> Result<(AggregationRun<V>, Med), SimError>
 where
-    CM: ChannelModel + Sync,
+    CM: ChannelModel,
     V: Aggregate,
     Med: crn_sim::Medium<CogCompMsg<V>>,
 {
@@ -256,7 +256,7 @@ impl<V> RepeatedAggregationRun<V> {
 /// assert_eq!(run.results[2], Some(Max(92)));
 /// # Ok::<(), crn_sim::SimError>(())
 /// ```
-pub fn run_repeated_aggregation<CM: ChannelModel + Sync, V: Aggregate>(
+pub fn run_repeated_aggregation<CM: ChannelModel, V: Aggregate>(
     model: CM,
     rounds_values: Vec<Vec<V>>,
     seed: u64,
@@ -309,7 +309,7 @@ pub fn run_repeated_aggregation<CM: ChannelModel + Sync, V: Aggregate>(
 /// # Errors
 ///
 /// Same as [`run_aggregation`].
-pub fn run_aggregation_default<CM: ChannelModel + Sync, V: Aggregate>(
+pub fn run_aggregation_default<CM: ChannelModel, V: Aggregate>(
     model: CM,
     values: Vec<V>,
     seed: u64,
@@ -355,7 +355,7 @@ pub struct ConfirmedBroadcast {
 /// assert_eq!(out.reached, 12);
 /// # Ok::<(), crn_sim::SimError>(())
 /// ```
-pub fn run_confirmed_broadcast<CM: ChannelModel + Sync>(
+pub fn run_confirmed_broadcast<CM: ChannelModel>(
     model: CM,
     seed: u64,
     alpha: f64,

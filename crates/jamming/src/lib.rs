@@ -6,7 +6,10 @@
 //! labels and per-slot channel churn automatically tolerates an
 //! n-uniform jammer disabling up to `k < c/2` channels per node per
 //! slot. This crate builds the jammers ([`jammer`]) and runs COGCAST —
-//! completely unmodified — against them ([`theorem18`]).
+//! completely unmodified — against them ([`theorem18`]): the jammed
+//! network goes through the same broadcast driver as every other
+//! broadcast runner ([`crn_core::cogcast::drive_broadcast`]) and the
+//! result is COGCAST's [`BroadcastRun`](crn_core::cogcast::BroadcastRun).
 //!
 //! ```
 //! use crn_jamming::{run_jammed_broadcast, JammerStrategy};
@@ -24,4 +27,4 @@ pub mod theorem18;
 
 pub use adaptive::SilencerJammer;
 pub use jammer::{JammerStrategy, UniformJammer};
-pub use theorem18::{jammed_budget, run_jammed_broadcast, JammedRun};
+pub use theorem18::{jammed_budget, run_jammed_broadcast};

@@ -13,33 +13,15 @@
 //!
 //! [`run_jammed_broadcast`] measures this: COGCAST (unchanged, uniform
 //! hopping over all `c` channels) running in a fully-shared `c`-channel
-//! network under each [`JammerStrategy`].
+//! network under each [`JammerStrategy`], driven by
+//! [`drive_broadcast`] like every other broadcast run.
 
 use crate::jammer::{JammerStrategy, UniformJammer};
 use crn_core::bounds;
-use crn_core::cogcast::CogCast;
+use crn_core::cogcast::{drive_broadcast, BroadcastRun, CogCast};
 use crn_sim::assignment::full_overlap;
 use crn_sim::channel_model::StaticChannels;
-use crn_sim::{Network, SimError};
-use serde::{Deserialize, Serialize};
-
-/// Statistics of one jammed broadcast run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JammedRun {
-    /// Slots until everyone was informed, or `None` on timeout.
-    pub slots: Option<u64>,
-    /// The slot budget allowed.
-    pub budget: u64,
-    /// Informed count after each slot.
-    pub informed_per_slot: Vec<usize>,
-}
-
-impl JammedRun {
-    /// True if broadcast completed within the budget.
-    pub fn completed(&self) -> bool {
-        self.slots.is_some()
-    }
-}
+use crn_sim::{NetworkBuilder, SimError};
 
 /// The slot budget the reduction predicts: the Theorem 4 budget at
 /// effective overlap `c − 2k`, inflated by the `c/(c−k)` jammed-pick
@@ -82,31 +64,15 @@ pub fn run_jammed_broadcast(
     strategy: JammerStrategy,
     seed: u64,
     alpha: f64,
-) -> Result<JammedRun, SimError> {
+) -> Result<BroadcastRun, SimError> {
     let budget = jammed_budget(n, c, k, alpha);
-    let model = StaticChannels::local(full_overlap(n, c)?, seed);
-    let mut protos = Vec::with_capacity(n);
-    protos.push(CogCast::source(()));
-    protos.extend((1..n).map(|_| CogCast::node()));
-    let jammer = UniformJammer::new(n, c, k, strategy);
-    let mut net = Network::with_interference(model, protos, seed, Box::new(jammer))?;
-
-    let mut informed_per_slot = Vec::new();
-    let mut slots = None;
-    for s in 0..budget {
-        net.step();
-        let informed = net.protocols().iter().filter(|p| p.is_informed()).count();
-        informed_per_slot.push(informed);
-        if informed == n {
-            slots = Some(s + 1);
-            break;
-        }
-    }
-    Ok(JammedRun {
-        slots,
-        budget,
-        informed_per_slot,
-    })
+    let mut net = NetworkBuilder::new(StaticChannels::local(full_overlap(n, c)?, seed))
+        .seed(seed)
+        .protocol(CogCast::source(()))
+        .protocols((1..n).map(|_| CogCast::node()))
+        .interference(Box::new(UniformJammer::new(n, c, k, strategy)))
+        .build()?;
+    Ok(drive_broadcast(&mut net, budget))
 }
 
 #[cfg(test)]

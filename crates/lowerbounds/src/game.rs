@@ -100,7 +100,7 @@ impl Matching {
 /// ```
 /// use crn_lowerbounds::game::{Edge, HittingGame};
 /// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let mut rng = crn_sim::SimRng::seed_from_u64(1);
 /// let mut game = HittingGame::new(4, 2, &mut rng);
 /// let won = game.propose(Edge::new(0, 0));
 /// assert_eq!(game.rounds(), 1);
@@ -183,13 +183,13 @@ impl HittingGame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crn_sim::rng::SimRng;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn sampled_matching_is_valid() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = SimRng::seed_from_u64(0);
         for c in [1usize, 2, 5, 16] {
             for k in 1..=c {
                 let m = Matching::sample(c, k, &mut rng);
@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn complete_game_is_perfect_matching() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SimRng::seed_from_u64(3);
         let g = HittingGame::complete(8, &mut rng);
         assert_eq!(g.reveal().len(), 8);
         assert!(g.reveal().is_valid(8));
@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn winning_proposal_detected() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SimRng::seed_from_u64(5);
         let mut g = HittingGame::new(4, 2, &mut rng);
         let e = g.reveal().edges()[0];
         assert!(g.propose(e));
@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn losing_proposals_counted() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SimRng::seed_from_u64(5);
         let mut g = HittingGame::new(4, 1, &mut rng);
         let hidden = g.reveal().edges()[0];
         let mut misses = 0;
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn proposals_after_win_do_not_rewin() {
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = SimRng::seed_from_u64(9);
         let mut g = HittingGame::new(3, 3, &mut rng);
         let e = g.reveal().edges()[0];
         assert!(g.propose(e));
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SimRng::seed_from_u64(1);
         let mut g = HittingGame::new(2, 1, &mut rng);
         g.propose(Edge::new(5, 0));
     }
@@ -258,7 +258,7 @@ mod tests {
         // Each a-vertex should appear in the k-matching with probability
         // k/c; check frequencies over many samples.
         let (c, k, trials) = (6usize, 2usize, 6000usize);
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = SimRng::seed_from_u64(42);
         let mut counts = vec![0usize; c];
         for _ in 0..trials {
             for e in Matching::sample(c, k, &mut rng).edges() {
@@ -278,7 +278,7 @@ mod tests {
         #[test]
         fn prop_matchings_valid(c in 1usize..24, k_off in 0usize..24, seed in 0u64..500) {
             let k = 1 + k_off % c;
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let m = Matching::sample(c, k, &mut rng);
             prop_assert!(m.is_valid(c));
             prop_assert_eq!(m.len(), k);

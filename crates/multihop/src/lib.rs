@@ -1,37 +1,17 @@
-//! # crn-multihop — the multi-hop generalization
+//! # crn-multihop — retired; intentionally empty
 //!
-//! The paper's protocols are stated for a single-hop network; the
-//! broadcast-related work it discusses (Kondareddy–Agrawal's selective
-//! broadcasting, Song–Xie's hopping sequences) lives in *multi-hop*
-//! cognitive radio networks. This crate extends the substrate in that
-//! direction:
+//! The multi-hop generalization now lives where the other media do:
+//! the connectivity [`Topology`] and the receiver-centric
+//! [`OracleMultihop`] medium are in `crn-sim`, and the COGCAST flood
+//! over a topology is
+//! `crn_core::cogcast::run_broadcast_on(model, seed, budget, OracleMultihop::new(topology))`.
 //!
-//! - [`Topology`] — connectivity graphs (line, ring, grid, complete,
-//!   random unit-disk) with BFS distances and diameters;
-//! - [`MultihopNetwork`] — a slot engine with receiver-centric
-//!   collision resolution, sharing the [`crn_sim::Protocol`] trait so
-//!   single-hop protocols run unmodified;
-//! - [`run_flood`] — COGCAST as a flooding primitive: unchanged, it
-//!   crosses the network at a cost that scales with the diameter
-//!   (experiment F15).
+//! The crate stays only because deleting it, together with its entry
+//! in `crn-bench`'s `Cargo.toml`, rewrites the benchmark's own lock
+//! file (`perfbench/Cargo.lock`); it goes at the next change to the
+//! benchmark.
 //!
-//! ```
-//! use crn_multihop::{run_flood, Topology};
-//! use crn_sim::{assignment::shared_core, channel_model::StaticChannels};
-//!
-//! let model = StaticChannels::local(shared_core(8, 4, 2)?, 1);
-//! let run = run_flood(Topology::ring(8), model, 1, 100_000)?;
-//! assert!(run.completed());
-//! # Ok::<(), crn_sim::SimError>(())
-//! ```
+//! [`Topology`]: crn_sim::Topology
+//! [`OracleMultihop`]: crn_sim::OracleMultihop
 
 #![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
-pub mod engine;
-pub mod flood;
-pub mod topology;
-
-pub use engine::MultihopNetwork;
-pub use flood::{flood_budget, run_flood, FloodRun};
-pub use topology::Topology;

@@ -9,10 +9,10 @@
 //! baseline needs `O((c²/k)·lg n)` slots instead of COGCAST's
 //! `O((c/k)·max{1, c/n}·lg n)`.
 
+use crn_core::cogcast::{drive_broadcast, BroadcastRun};
 use crn_sim::rng::SimRng;
 use crn_sim::{Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, Protocol, SimError};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A node of the rendezvous-broadcast baseline.
 #[derive(Debug, Clone)]
@@ -75,24 +75,6 @@ impl<M: Clone + std::fmt::Debug> Protocol<M> for RendezvousBroadcast<M> {
     }
 }
 
-/// Statistics of one baseline-broadcast run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BaselineBroadcastRun {
-    /// Slots until everyone was informed, or `None` on timeout.
-    pub slots: Option<u64>,
-    /// The slot budget allowed.
-    pub budget: u64,
-    /// Informed count after each slot.
-    pub informed_per_slot: Vec<usize>,
-}
-
-impl BaselineBroadcastRun {
-    /// True if broadcast completed within the budget.
-    pub fn completed(&self) -> bool {
-        self.slots.is_some()
-    }
-}
-
 /// Runs the rendezvous-broadcast baseline (node 0 is the source).
 ///
 /// # Errors
@@ -114,29 +96,13 @@ pub fn run_baseline_broadcast<CM: ChannelModel>(
     model: CM,
     seed: u64,
     budget: u64,
-) -> Result<BaselineBroadcastRun, SimError> {
+) -> Result<BroadcastRun, SimError> {
     let n = model.n();
     let mut protos = Vec::with_capacity(n);
     protos.push(RendezvousBroadcast::source(()));
     protos.extend((1..n).map(|_| RendezvousBroadcast::node()));
     let mut net = Network::new(model, protos, seed)?;
-
-    let mut informed_per_slot = Vec::new();
-    let mut slots = None;
-    for s in 0..budget {
-        net.step();
-        let informed = net.protocols().iter().filter(|p| p.is_informed()).count();
-        informed_per_slot.push(informed);
-        if informed == n {
-            slots = Some(s + 1);
-            break;
-        }
-    }
-    Ok(BaselineBroadcastRun {
-        slots,
-        budget,
-        informed_per_slot,
-    })
+    Ok(drive_broadcast(&mut net, budget))
 }
 
 #[cfg(test)]

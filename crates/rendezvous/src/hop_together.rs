@@ -112,7 +112,7 @@ pub struct HopTogetherRun {
 /// assert!(run.slots.is_some());
 /// # Ok::<(), crn_sim::SimError>(())
 /// ```
-pub fn run_hop_together<CM: ChannelModel + Sync>(
+pub fn run_hop_together<CM: ChannelModel>(
     model: CM,
     seed: u64,
     budget: u64,
@@ -140,7 +140,7 @@ pub fn run_hop_together_on<CM, Med>(
     medium: Med,
 ) -> Result<(HopTogetherRun, Med), SimError>
 where
-    CM: ChannelModel + Sync,
+    CM: ChannelModel,
     Med: crn_sim::Medium<()>,
 {
     if !model.labels_are_global() {

@@ -8,7 +8,10 @@
 //! - [`pairwise`] — the two-node randomized-rendezvous primitive
 //!   (`O(c²/k)` expected meeting time);
 //! - [`broadcast`] — rendezvous-based local broadcast, `O((c²/k)·lg n)`
-//!   (no epidemic relay: the factor-`c` gap to COGCAST);
+//!   (no epidemic relay: the factor-`c` gap to COGCAST), driven by
+//!   COGCAST's own [`drive_broadcast`](crn_core::cogcast::drive_broadcast)
+//!   and reported as its [`BroadcastRun`](crn_core::cogcast::BroadcastRun)
+//!   so the two compare field for field;
 //! - [`aggregate`] — rendezvous-based aggregation, `O(c²·n/k)`;
 //! - [`hop_together`] — the global-label sequential scan that completes
 //!   in `O(C/k)` expected slots, the separation witness between the
@@ -37,7 +40,7 @@ pub mod pairwise;
 
 pub use acquainted::{run_acquainted, AcqMsg, Acquainted, AcquaintedRun};
 pub use aggregate::{run_baseline_aggregation, BaselineAggregationRun, RendezvousAggregation};
-pub use broadcast::{run_baseline_broadcast, BaselineBroadcastRun, RendezvousBroadcast};
+pub use broadcast::{run_baseline_broadcast, RendezvousBroadcast};
 pub use deterministic::{jump_stay_rendezvous_slots, JumpStay, JumpStaySchedule, SlotPlan};
 pub use hop_together::{run_hop_together, HopTogether, HopTogetherRun};
 pub use msg::BaselineMsg;

@@ -247,7 +247,7 @@ impl ChannelAssignment {
     /// ```
     /// use crn_sim::assignment::shared_core;
     /// use rand::SeedableRng;
-    /// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    /// let mut rng = crn_sim::SimRng::seed_from_u64(5);
     /// let a = shared_core(4, 6, 2)?.permute_globals(&mut rng);
     /// assert!(a.min_pairwise_overlap() >= 2);
     /// # Ok::<(), crn_sim::SimError>(())
@@ -384,7 +384,7 @@ pub fn shared_core(n: usize, c: usize, k: usize) -> Result<ChannelAssignment, Si
 /// ```
 /// use crn_sim::assignment::random_with_core;
 /// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let mut rng = crn_sim::SimRng::seed_from_u64(1);
 /// let a = random_with_core(10, 8, 3, 100, &mut rng).unwrap();
 /// assert!(a.min_pairwise_overlap() >= 3);
 /// assert_eq!(a.total_channels(), 103);
@@ -434,7 +434,7 @@ pub fn random_with_core(
 /// ```
 /// use crn_sim::assignment::ragged_with_core;
 /// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+/// let mut rng = crn_sim::SimRng::seed_from_u64(4);
 /// let a = ragged_with_core(&[3, 6, 9], 2, 40, &mut rng)?;
 /// assert_eq!(a.c_of(0), 3);
 /// assert_eq!(a.c_of(2), 9);
@@ -499,7 +499,7 @@ pub fn ragged_with_core(
 /// ```
 /// use crn_sim::assignment::clustered;
 /// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+/// let mut rng = crn_sim::SimRng::seed_from_u64(2);
 /// let a = clustered(12, 6, 2, 3, 8, &mut rng).unwrap();
 /// assert!(a.min_pairwise_overlap() >= 2);
 /// ```
@@ -607,8 +607,8 @@ impl OverlapPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
@@ -648,7 +648,7 @@ mod tests {
 
     #[test]
     fn random_with_core_respects_overlap() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SimRng::seed_from_u64(7);
         for pool in [4usize, 10, 100] {
             let a = random_with_core(8, 6, 3, pool.max(3), &mut rng).unwrap();
             assert!(a.min_pairwise_overlap() >= 3, "pool {pool}");
@@ -658,14 +658,14 @@ mod tests {
 
     #[test]
     fn random_with_core_pool_too_small() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SimRng::seed_from_u64(7);
         let err = random_with_core(3, 6, 2, 3, &mut rng).unwrap_err();
         assert!(matches!(err, SimError::InvalidParams { .. }));
     }
 
     #[test]
     fn clustered_within_group_overlap_exceeds_core() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SimRng::seed_from_u64(3);
         // 2 groups, small group pool: group-mates share many channels.
         let a = clustered(8, 8, 2, 2, 7, &mut rng).unwrap();
         assert!(a.validate().is_ok());
@@ -738,7 +738,7 @@ mod tests {
 
     #[test]
     fn ragged_assignments_expose_per_node_counts() {
-        let mut rng = StdRng::seed_from_u64(15);
+        let mut rng = SimRng::seed_from_u64(15);
         let a = ragged_with_core(&[2, 4, 8], 2, 30, &mut rng).unwrap();
         assert_eq!(a.n(), 3);
         assert_eq!(a.c(), 8);
@@ -758,7 +758,7 @@ mod tests {
 
     #[test]
     fn ragged_rejects_bad_params() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = SimRng::seed_from_u64(0);
         assert!(ragged_with_core(&[], 1, 5, &mut rng).is_err());
         assert!(
             ragged_with_core(&[3, 1], 2, 5, &mut rng).is_err(),
@@ -788,7 +788,7 @@ mod tests {
 
     #[test]
     fn permute_globals_preserves_overlaps() {
-        let mut rng = StdRng::seed_from_u64(21);
+        let mut rng = SimRng::seed_from_u64(21);
         let a = shared_core(5, 6, 2).unwrap();
         let overlaps: Vec<usize> = (0..5)
             .flat_map(|i| ((i + 1)..5).map(move |j| (i, j)))
@@ -808,7 +808,7 @@ mod tests {
 
     #[test]
     fn overlap_is_symmetric() {
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = SimRng::seed_from_u64(11);
         let a = random_with_core(6, 5, 2, 20, &mut rng).unwrap();
         for i in 0..6 {
             for j in 0..6 {
@@ -819,7 +819,7 @@ mod tests {
 
     #[test]
     fn all_patterns_generate_valid_assignments() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SimRng::seed_from_u64(5);
         for p in OverlapPattern::ALL {
             let a = p.generate(10, 6, 3, &mut rng).unwrap();
             assert!(
@@ -859,7 +859,7 @@ mod tests {
             let k = 1 + k_off % c;
             let pool = (c - k) + pool_extra;
             if pool == 0 { return Ok(()); }
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let a = random_with_core(n, c, k, pool, &mut rng).unwrap();
             prop_assert!(a.validate().is_ok());
             // each set is sorted and deduplicated
@@ -873,7 +873,7 @@ mod tests {
 
         #[test]
         fn prop_overlap_never_exceeds_c(n in 2usize..10, c in 1usize..8, seed in 0u64..100) {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let a = random_with_core(n, c, 1, c * 3, &mut rng).unwrap();
             for i in 0..n {
                 for j in (i+1)..n {

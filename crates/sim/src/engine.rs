@@ -462,7 +462,9 @@ where
     /// # Errors
     ///
     /// Returns [`SimError::ProtocolCountMismatch`] if the number of
-    /// protocols differs from the model's node count.
+    /// protocols differs from the model's node count, and
+    /// [`SimError::InvalidParams`] if the medium is built for a
+    /// different node count ([`Medium::nodes`]).
     pub fn build(self) -> Result<Network<M, P, CM, Med>, SimError> {
         let mut net = Network::assemble(
             self.model,
@@ -629,7 +631,9 @@ where
     /// # Errors
     ///
     /// Returns [`SimError::ProtocolCountMismatch`] if `protocols.len()`
-    /// differs from the model's node count.
+    /// differs from the model's node count, and
+    /// [`SimError::InvalidParams`] if the medium is built for a
+    /// different node count ([`Medium::nodes`]).
     pub fn with_medium(
         model: CM,
         protocols: Vec<P>,
@@ -651,6 +655,16 @@ where
                 nodes: model.n(),
                 protocols: protocols.len(),
             });
+        }
+        if let Some(nodes) = medium.nodes() {
+            if nodes != model.n() {
+                return Err(SimError::InvalidParams {
+                    reason: format!(
+                        "the medium is built for {nodes} nodes but the channel model has {}",
+                        model.n()
+                    ),
+                });
+            }
         }
         let node_rngs = (0..model.n())
             .map(|i| derive_rng(seed, streams::NODE_BASE + i as u64))
@@ -748,17 +762,21 @@ where
         &self.activity
     }
 
-    /// True once every protocol reports [`Protocol::is_done`].
+    /// How many protocols report [`Protocol::is_done`].
     ///
     /// O(1) after a [`Network::step`]: the observe phase tallies
     /// doneness as it runs, so per-slot run loops don't rescan all `n`
     /// protocols. Falls back to the scan when the tally is stale
     /// (before the first step, or after [`Network::protocols_mut`]).
+    pub fn done_count(&self) -> usize {
+        self.done_cache
+            .unwrap_or_else(|| self.protocols.iter().filter(|p| p.is_done()).count())
+    }
+
+    /// True once every protocol reports [`Protocol::is_done`]; O(1)
+    /// after a step, like [`Network::done_count`].
     pub fn all_done(&self) -> bool {
-        match self.done_cache {
-            Some(done) => done == self.protocols.len(),
-            None => self.protocols.iter().all(|p| p.is_done()),
-        }
+        self.done_count() == self.protocols.len()
     }
 
     /// Executes one slot and returns its activity record.
@@ -1481,6 +1499,7 @@ mod tests {
             !net.all_done(),
             "protocols_mut must invalidate the done cache"
         );
+        assert_eq!(net.done_count(), 0);
     }
 
     #[test]
@@ -1503,9 +1522,14 @@ mod tests {
         for _ in 0..8 {
             seq.step();
             par.step();
-            assert_eq!(seq.all_done(), par.all_done());
-            let scan = par.protocols().iter().all(|p| p.is_done());
-            assert_eq!(par.all_done(), scan, "cached tally must match a fresh scan");
+            assert_eq!(seq.done_count(), par.done_count());
+            let scan = par.protocols().iter().filter(|p| p.is_done()).count();
+            assert_eq!(
+                par.done_count(),
+                scan,
+                "cached tally must match a fresh scan"
+            );
+            assert_eq!(par.all_done(), scan == 16);
         }
         assert!(par.all_done());
     }

@@ -124,6 +124,13 @@ pub trait Medium<M: Clone> {
 
     /// Which contract clauses this medium satisfies.
     fn profile(&self) -> MediumProfile;
+
+    /// The node count this medium is built for, if it fixes one (a
+    /// multi-hop topology does); the engine rejects a channel model of
+    /// any other size at construction.
+    fn nodes(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// The one way every medium builds a slot's [`ChannelActivity`]
@@ -455,6 +462,10 @@ impl<M: Clone> Medium<M> for OracleMultihop {
         }
     }
 
+    fn nodes(&self) -> Option<usize> {
+        Some(self.topology.len())
+    }
+
     fn profile(&self) -> MediumProfile {
         if self.is_complete {
             MediumProfile::oracle()
@@ -599,7 +610,12 @@ impl PhysicalDecay {
         self.physical_rounds
     }
 
-    /// Channel-episodes that ended without a lone transmission.
+    /// Channel-episodes that ended without a lone transmission, on
+    /// every channel with broadcasters, whether or not it also had
+    /// listeners. `crn_backoff::stack::PhysicalRun::failed_episodes`
+    /// (experiment F14) counts only failures on channels with
+    /// listeners, so the two counters differ by the failures among
+    /// broadcasters alone.
     pub fn failed_episodes(&self) -> u64 {
         self.failed_episodes
     }
@@ -790,6 +806,50 @@ mod tests {
     }
 
     #[test]
+    fn physical_decay_failed_episode_has_no_winner() {
+        // Two persistent contenders fail an episode (no lone
+        // transmission in recommended_rounds(2) = 40 rounds) with
+        // probability 2^-20 per slot. Seed 13032 was found by search
+        // over this network: its only failure in 40 slots is slot 25.
+        let model = StaticChannels::global(full_overlap(2, 1).unwrap());
+        let protos = vec![
+            fixed(Action::Broadcast(LocalChannel(0), 1)),
+            fixed(Action::Broadcast(LocalChannel(0), 2)),
+        ];
+        let mut net = Network::with_medium(model, protos, 13032, PhysicalDecay::new()).unwrap();
+        let mut winnerless = Vec::new();
+        for slot in 0..40 {
+            let act = net.step();
+            assert_eq!(act.channels.len(), 1);
+            if act.channels[0].winner.is_none() {
+                winnerless.push(slot);
+            }
+        }
+        assert_eq!(winnerless, vec![25]);
+        assert_eq!(net.medium().failed_episodes(), 1);
+        // The winnerless rule: with no winner every broadcaster hears
+        // nothing and so observes Delivered; otherwise exactly one wins
+        // and the other loses to it.
+        let p = net.into_protocols();
+        for slot in 0..40 {
+            let events = [&p[0].heard[slot], &p[1].heard[slot]];
+            let delivered = events
+                .iter()
+                .filter(|e| matches!(e, Event::Delivered))
+                .count();
+            let lost = events
+                .iter()
+                .filter(|e| matches!(e, Event::Lost { .. }))
+                .count();
+            if slot == 25 {
+                assert_eq!((delivered, lost), (2, 0), "slot {slot}: {events:?}");
+            } else {
+                assert_eq!((delivered, lost), (1, 1), "slot {slot}: {events:?}");
+            }
+        }
+    }
+
+    #[test]
     fn physical_decay_winner_is_roughly_uniform() {
         // Two persistent contenders: decay symmetry should give each
         // about half the wins — the property that justifies the
@@ -864,6 +924,117 @@ mod tests {
             }]
         );
         assert_eq!(p[2].heard, vec![Event::Silence]);
+    }
+
+    #[test]
+    fn multihop_per_receiver_winners_are_independent() {
+        // 1 and 2 both broadcast and node 0 neighbors both: over many
+        // slots node 0 hears each roughly half the time.
+        let model = StaticChannels::global(full_overlap(3, 1).unwrap());
+        let protos = vec![
+            fixed(Action::Listen(LocalChannel(0))),
+            fixed(Action::Broadcast(LocalChannel(0), 1)),
+            fixed(Action::Broadcast(LocalChannel(0), 2)),
+        ];
+        let med = OracleMultihop::new(Topology::from_edges(3, &[(0, 1), (0, 2)]));
+        let mut net = Network::with_medium(model, protos, 5, med).unwrap();
+        net.run_slots(2000);
+        let p = net.into_protocols();
+        let from1 = p[0]
+            .heard
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Event::Received {
+                        from: NodeId(1),
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert!(
+            (700..=1300).contains(&from1),
+            "receiver-side winner skewed: {from1}/2000"
+        );
+    }
+
+    #[test]
+    fn multihop_channels_do_not_mix() {
+        for topo in [Topology::complete(3), Topology::line(3)] {
+            let model = StaticChannels::global(full_overlap(3, 2).unwrap());
+            let protos = vec![
+                fixed(Action::Broadcast(LocalChannel(0), 3)),
+                fixed(Action::Listen(LocalChannel(1))),
+                fixed(Action::Sleep),
+            ];
+            let med = OracleMultihop::new(topo);
+            let mut net = Network::with_medium(model, protos, 2, med).unwrap();
+            net.step();
+            assert_eq!(net.into_protocols()[1].heard, vec![Event::Silence]);
+        }
+    }
+
+    #[test]
+    fn multihop_is_deterministic_given_seed() {
+        let run = |seed: u64| -> Vec<Event<u8>> {
+            let model = StaticChannels::global(full_overlap(3, 1).unwrap());
+            let protos = vec![
+                fixed(Action::Listen(LocalChannel(0))),
+                fixed(Action::Broadcast(LocalChannel(0), 1)),
+                fixed(Action::Broadcast(LocalChannel(0), 2)),
+            ];
+            let med = OracleMultihop::new(Topology::from_edges(3, &[(0, 1), (0, 2)]));
+            let mut net = Network::with_medium(model, protos, seed, med).unwrap();
+            net.run_slots(32);
+            net.into_protocols().remove(0).heard
+        };
+        assert_eq!(run(7), run(7));
+        assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn multihop_conformance_holds_on_incomplete_topology() {
+        // The conformance hook applies the multihop profile:
+        // winner-less contended channels are legal here.
+        let model = StaticChannels::global(full_overlap(3, 1).unwrap());
+        let protos = vec![
+            fixed(Action::Broadcast(LocalChannel(0), 9)),
+            fixed(Action::Listen(LocalChannel(0))),
+            fixed(Action::Listen(LocalChannel(0))),
+        ];
+        let med = OracleMultihop::new(Topology::line(3));
+        let mut net = Network::with_medium(model, protos, 1, med).unwrap();
+        net.step();
+        assert_eq!(net.check_conformance(), vec![]);
+    }
+
+    #[test]
+    fn multihop_topology_of_another_size_is_rejected() {
+        use crate::engine::NetworkBuilder;
+        use crate::SimError;
+        let quiet = || (0..4).map(|_| fixed(Action::Sleep)).collect::<Vec<_>>();
+        let model = || StaticChannels::global(full_overlap(4, 1).unwrap());
+        for nodes in [3, 5] {
+            let med = || OracleMultihop::new(Topology::line(nodes));
+            let direct = Network::with_medium(model(), quiet(), 0, med());
+            assert!(
+                matches!(direct, Err(SimError::InvalidParams { .. })),
+                "with_medium accepted a {nodes}-node topology for 4 nodes"
+            );
+            let built = NetworkBuilder::new(model())
+                .protocols(quiet())
+                .medium(med())
+                .build();
+            assert!(
+                matches!(built, Err(SimError::InvalidParams { .. })),
+                "build accepted a {nodes}-node topology for 4 nodes"
+            );
+        }
+        assert!(
+            Network::with_medium(model(), quiet(), 0, OracleMultihop::new(Topology::line(4)))
+                .is_ok()
+        );
     }
 
     #[test]
